@@ -5,8 +5,8 @@
 //! crossbar array. Thus, the current flowing to the end of each bitline is
 //! viewed as the result of the matrix-vector multiplication."
 
-use crate::device::{ReramCell, ReramDeviceModel};
-use crate::spike::{IntegrateFire, SpikeTrain};
+use crate::device::ReramDeviceModel;
+use crate::spike::{self, IntegrateFire, SpikeTrain};
 use crate::CrossbarConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -14,8 +14,9 @@ use reram_telemetry::{self as telemetry, Event};
 
 /// Fixed-geometry crossbar of ReRAM cells with bit-serial analog MVM.
 ///
-/// Cells are stored row-major: `cells[r * cols + c]` sits at wordline `r`,
-/// bitline `c`. The array is unsigned — sign handling lives one level up in
+/// Cells are stored row-major as two planes: `levels[r * cols + c]` and
+/// `conductances[r * cols + c]` describe the cell at wordline `r`, bitline
+/// `c`. The array is unsigned — sign handling lives one level up in
 /// [`crate::tile::TiledMatrix`] via differential array pairs.
 ///
 /// Stuck-at cell faults (manufacturing defects / worn-out cells) are drawn
@@ -25,7 +26,12 @@ use reram_telemetry::{self as telemetry, Event};
 pub struct CrossbarArray {
     rows: usize,
     cols: usize,
-    cells: Vec<ReramCell>,
+    /// Programmed digital level per cell. The device allows at most 8 cell
+    /// bits, so a level always fits a byte.
+    levels: Vec<u8>,
+    /// Realized analog conductance per cell (level plus frozen write
+    /// variation), in units of one level step.
+    conductances: Vec<f64>,
     /// Per-cell stuck level (`None` = healthy).
     stuck: Vec<Option<u32>>,
     device: ReramDeviceModel,
@@ -36,19 +42,20 @@ pub struct CrossbarArray {
 impl CrossbarArray {
     /// Creates an array with all cells programmed to level 0.
     pub fn new(config: &CrossbarConfig) -> Self {
-        let mut device = ReramDeviceModel::new(
+        let device = ReramDeviceModel::new(
             config.cell_bits,
             config.write_sigma,
             config.read_sigma,
             config.noise_seed,
         );
         let max_level = device.max_level();
+        let cells = config.rows * config.cols;
         let stuck: Vec<Option<u32>> = if config.stuck_off_rate > 0.0 || config.stuck_on_rate > 0.0 {
             // Distinct RNG stream from the variation RNG so enabling
             // faults does not perturb the variation draws.
             let mut rng =
                 StdRng::seed_from_u64(config.noise_seed.wrapping_mul(0x51_7c_c1_b7_27_22_0a_95));
-            (0..config.rows * config.cols)
+            (0..cells)
                 .map(|_| {
                     let r: f64 = rng.gen();
                     if r < config.stuck_off_rate {
@@ -61,21 +68,23 @@ impl CrossbarArray {
                 })
                 .collect()
         } else {
-            vec![None; config.rows * config.cols]
+            vec![None; cells]
         };
-        let cells = stuck
-            .iter()
-            .map(|s| device.program(s.unwrap_or(0)))
-            .collect();
-        Self {
+        let mut array = Self {
             rows: config.rows,
             cols: config.cols,
-            cells,
+            levels: vec![0; cells],
+            conductances: vec![0.0; cells],
             stuck,
             device,
             mvm_count: 0,
             spike_count: 0,
+        };
+        for i in 0..cells {
+            array.write_cell(i, 0);
         }
+        telemetry::record(Event::CellWrite, cells as u64);
+        array
     }
 
     /// Number of stuck (faulty) cells in this array.
@@ -93,6 +102,17 @@ impl CrossbarArray {
         self.cols
     }
 
+    /// Issues one programming pulse to cell `i` (a stuck cell keeps its
+    /// stuck level), without the telemetry event its caller batches.
+    fn write_cell(&mut self, i: usize, level: u32) {
+        let cell = self
+            .device
+            .program_unrecorded(self.stuck[i].unwrap_or(level));
+        // The device rejects levels of 2^8 and above.
+        self.levels[i] = cell.level() as u8;
+        self.conductances[i] = cell.conductance();
+    }
+
     /// Programs the whole array from row-major levels.
     ///
     /// # Panics
@@ -108,26 +128,47 @@ impl CrossbarArray {
             self.rows,
             self.cols
         );
-        self.cells = levels
-            .iter()
-            .zip(&self.stuck)
-            .map(|(&l, s)| self.device.program(s.unwrap_or(l)))
-            .collect();
+        for (i, &level) in levels.iter().enumerate() {
+            self.write_cell(i, level);
+        }
+        telemetry::record(Event::CellWrite, levels.len() as u64);
     }
 
-    /// Programs a single cell (used by in-place weight updates).
+    /// Programs only the cells whose stored level differs from `levels`, a
+    /// row-major block `width` bitlines wide anchored at cell `(0, 0)`, and
+    /// returns the number of pulses issued. Cells outside the block are left
+    /// untouched; a stuck cell whose stuck level differs from the requested
+    /// one is pulsed every time.
     ///
     /// # Panics
     ///
-    /// Panics if the coordinate is out of range or the level too large.
-    pub fn program_cell(&mut self, row: usize, col: usize, level: u32) {
+    /// Panics if the block does not fit the array or a changed level exceeds
+    /// the device range.
+    pub(crate) fn program_changed(&mut self, levels: &[u32], width: usize) -> u64 {
         assert!(
-            row < self.rows && col < self.cols,
-            "cell ({row},{col}) out of range"
+            width > 0
+                && width <= self.cols
+                && levels.len().is_multiple_of(width)
+                && levels.len() / width <= self.rows,
+            "program_changed: {} levels do not form a block {width} cells wide in a {}x{} array",
+            levels.len(),
+            self.rows,
+            self.cols
         );
-        let i = row * self.cols + col;
-        let effective = self.stuck[i].unwrap_or(level);
-        self.cells[i] = self.device.program(effective);
+        let mut pulses = 0u64;
+        for (r, row) in levels.chunks_exact(width).enumerate() {
+            for (c, &level) in row.iter().enumerate() {
+                let i = r * self.cols + c;
+                if u32::from(self.levels[i]) != level {
+                    self.write_cell(i, level);
+                    pulses += 1;
+                }
+            }
+        }
+        if pulses > 0 {
+            telemetry::record(Event::CellWrite, pulses);
+        }
+        pulses
     }
 
     /// The digital level currently programmed at `(row, col)`.
@@ -140,7 +181,7 @@ impl CrossbarArray {
             row < self.rows && col < self.cols,
             "cell ({row},{col}) out of range"
         );
-        self.cells[row * self.cols + col].level()
+        u32::from(self.levels[row * self.cols + col])
     }
 
     /// One analog frame: bitline currents with the given wordlines active.
@@ -166,9 +207,9 @@ impl CrossbarArray {
                 continue;
             }
             self.spike_count += 1;
-            let base = r * self.cols;
-            for (c, cur) in currents.iter_mut().enumerate() {
-                *cur += self.cells[base + c].conductance();
+            let row = &self.conductances[r * self.cols..(r + 1) * self.cols];
+            for (cur, &g) in currents.iter_mut().zip(row) {
+                *cur += g;
             }
         }
         if !self.device.is_ideal() {
@@ -184,7 +225,41 @@ impl CrossbarArray {
         currents
     }
 
-    /// Full spike-coded matrix-vector multiplication.
+    /// Matrix-vector multiplication of the array's levels with one unsigned
+    /// integer code per wordline: `y_c = Σ_r level[r][c] · x_r`.
+    ///
+    /// On an ideal device every conductance is an integer level and every
+    /// I&F count of the spike-coded product is exact, so the bit-serial
+    /// merge `Σ_t 2^t · IF(Σ_r g[r][c] · bit_t(x_r))` equals the integer dot
+    /// product, which this computes directly from the level plane. A noisy
+    /// device runs [`mvm_codes_bit_serial`](Self::mvm_codes_bit_serial).
+    /// Both paths record the same telemetry and counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `codes.len() != rows` or a code exceeds `input_bits`.
+    pub fn mvm_codes(&mut self, codes: &[u64], input_bits: u32) -> Vec<u64> {
+        if !self.device.is_ideal() {
+            return self.mvm_codes_bit_serial(codes, input_bits);
+        }
+        self.begin_mvm(codes);
+        self.spike_count += spike::drive(codes, input_bits);
+        self.record_mvm(input_bits as usize);
+        let mut acc = vec![0u64; self.cols];
+        for (r, &code) in codes.iter().enumerate() {
+            if code == 0 {
+                continue;
+            }
+            let row = &self.levels[r * self.cols..(r + 1) * self.cols];
+            for (a, &level) in acc.iter_mut().zip(row) {
+                *a += u64::from(level) * code;
+            }
+        }
+        acc
+    }
+
+    /// Full spike-coded matrix-vector multiplication — the reference the
+    /// ideal-device path of [`mvm_codes`](Self::mvm_codes) must equal.
     ///
     /// Encodes `codes` (one unsigned integer per wordline) as a weighted
     /// spike train, integrates every frame through I&F counters, and merges
@@ -194,28 +269,10 @@ impl CrossbarArray {
     /// # Panics
     ///
     /// Panics if `codes.len() != rows` or a code exceeds `input_bits`.
-    pub fn mvm_codes(&mut self, codes: &[u64], input_bits: u32) -> Vec<u64> {
-        assert_eq!(
-            codes.len(),
-            self.rows,
-            "mvm_codes: {} codes for {} rows",
-            codes.len(),
-            self.rows
-        );
-        self.mvm_count += 1;
+    pub fn mvm_codes_bit_serial(&mut self, codes: &[u64], input_bits: u32) -> Vec<u64> {
+        self.begin_mvm(codes);
         let train = SpikeTrain::encode(codes, input_bits);
-        // Batched: one recorder acquisition for the whole MVM. Each of the
-        // `input_bits` frames drives every bitline through one I&F
-        // conversion, so conversions = frames x cols (core::timing's
-        // closed form).
-        telemetry::with_recorder(|t| {
-            t.record(Event::CrossbarMvm, 1);
-            t.record(Event::SpikeFrame, train.num_frames() as u64);
-            t.record(
-                Event::AdcConversion,
-                (train.num_frames() * self.cols) as u64,
-            );
-        });
+        self.record_mvm(train.num_frames());
         let mut inf = IntegrateFire::new();
         let mut acc = vec![0u64; self.cols];
         for t in 0..train.num_frames() {
@@ -226,6 +283,29 @@ impl CrossbarArray {
             }
         }
         acc
+    }
+
+    fn begin_mvm(&mut self, codes: &[u64]) {
+        assert_eq!(
+            codes.len(),
+            self.rows,
+            "mvm_codes: {} codes for {} rows",
+            codes.len(),
+            self.rows
+        );
+        self.mvm_count += 1;
+    }
+
+    /// Batched: one recorder acquisition for the whole MVM. Each of the
+    /// `frames` bit-serial frames drives every bitline through one I&F
+    /// conversion, so conversions = frames x cols (core::timing's closed
+    /// form).
+    fn record_mvm(&self, frames: usize) {
+        telemetry::with_recorder(|t| {
+            t.record(Event::CrossbarMvm, 1);
+            t.record(Event::SpikeFrame, frames as u64);
+            t.record(Event::AdcConversion, (frames * self.cols) as u64);
+        });
     }
 
     /// Number of MVM operations performed.
@@ -405,10 +485,21 @@ mod tests {
     }
 
     #[test]
-    fn program_cell_updates_single_weight() {
+    fn program_changed_pulses_only_differing_cells_of_the_block() {
         let mut a = CrossbarArray::new(&small_config());
-        a.program_cell(2, 1, 9);
-        assert_eq!(a.level_at(2, 1), 9);
-        assert_eq!(a.level_at(2, 2), 0);
+        a.program(&[2u32; 16]);
+        let writes = a.write_count();
+        // A 2x3 block: two cells differ from the stored level 2.
+        assert_eq!(a.program_changed(&[2, 9, 2, 2, 2, 0], 3), 2);
+        assert_eq!((a.level_at(0, 1), a.level_at(1, 2)), (9, 0));
+        assert_eq!(a.level_at(0, 3), 2, "outside the block");
+        assert_eq!(a.write_count(), writes + 2);
+        assert_eq!(a.program_changed(&[2, 9, 2, 2, 2, 0], 3), 0);
+        // A stuck cell never reaches the requested level, so every call
+        // pulses it again.
+        let mut stuck = CrossbarArray::new(&small_config().with_faults(1.0, 0.0, 3));
+        assert_eq!(stuck.program_changed(&[3], 1), 1);
+        assert_eq!(stuck.program_changed(&[3], 1), 1);
+        assert_eq!(stuck.level_at(0, 0), 0);
     }
 }

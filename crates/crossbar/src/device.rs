@@ -91,13 +91,21 @@ impl ReramDeviceModel {
     ///
     /// Panics if `level` exceeds the device's level range.
     pub fn program(&mut self, level: u32) -> ReramCell {
+        let cell = self.program_unrecorded(level);
+        telemetry::record(Event::CellWrite, 1);
+        cell
+    }
+
+    /// [`program`](Self::program) without the telemetry event: the write
+    /// still counts towards [`write_count`](Self::write_count), and the
+    /// caller records one `CellWrite` event for a whole batch of writes.
+    pub(crate) fn program_unrecorded(&mut self, level: u32) -> ReramCell {
         assert!(
             level < self.levels,
             "level {level} exceeds device range {}",
             self.levels
         );
         self.writes += 1;
-        telemetry::record(Event::CellWrite, 1);
         let noise = if self.write_sigma > 0.0 {
             self.write_sigma * self.gaussian()
         } else {

@@ -27,32 +27,14 @@ impl SpikeTrain {
     ///
     /// Panics if any code needs more than `input_bits` bits.
     pub fn encode(codes: &[u64], input_bits: u32) -> Self {
-        let limit = if input_bits >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << input_bits) - 1
-        };
-        // The spike driver is the digital-to-analog boundary: one input code
-        // per wordline becomes a weighted spike train.
-        telemetry::record(Event::DacConversion, codes.len() as u64);
-        let mut total = 0u64;
+        let total_spikes = drive(codes, input_bits);
         let frames = (0..input_bits)
-            .map(|t| {
-                codes
-                    .iter()
-                    .map(|&c| {
-                        assert!(c <= limit, "code {c} exceeds {input_bits} input bits");
-                        let fire = (c >> t) & 1 == 1;
-                        total += fire as u64;
-                        fire
-                    })
-                    .collect()
-            })
+            .map(|t| codes.iter().map(|&c| (c >> t) & 1 == 1).collect())
             .collect();
         Self {
             input_bits,
             frames,
-            total_spikes: total,
+            total_spikes,
         }
     }
 
@@ -85,6 +67,29 @@ impl SpikeTrain {
     pub fn input_bits(&self) -> u32 {
         self.input_bits
     }
+}
+
+/// The spike driver's digital-to-analog boundary: records one DAC
+/// conversion per wordline code, checks every code fits `input_bits`, and
+/// returns the number of spikes the codes fire (their total popcount).
+///
+/// # Panics
+///
+/// Panics if any code needs more than `input_bits` bits.
+pub(crate) fn drive(codes: &[u64], input_bits: u32) -> u64 {
+    let limit = if input_bits >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << input_bits) - 1
+    };
+    telemetry::record(Event::DacConversion, codes.len() as u64);
+    codes
+        .iter()
+        .map(|&c| {
+            assert!(c <= limit, "code {c} exceeds {input_bits} input bits");
+            u64::from(c.count_ones())
+        })
+        .sum()
 }
 
 /// Integrate-and-fire converter: turns an integrated bitline current into a

@@ -13,7 +13,7 @@
 //! outputs are merged by a subtractor, as in the paper's Fig. 10 Ⓑ.
 
 use crate::array::CrossbarArray;
-use crate::quant::{differential_split, slice_magnitude, Quantizer};
+use crate::quant::{differential_split, Quantizer};
 use crate::CrossbarConfig;
 use reram_telemetry::{self as telemetry, Event};
 use reram_tensor::Matrix;
@@ -128,81 +128,72 @@ impl TiledMatrix {
         }
         self.reprogram_count += 1;
         telemetry::record(Event::WeightUpdate, 1);
-        let slices = self.config.slices_per_weight();
-        let cell_bits = self.config.cell_bits;
-        let logical_cols = self.config.logical_cols();
-        let rows = self.config.rows;
         let mut pulses = 0u64;
-        for rt in 0..self.row_tiles {
-            for ct in 0..self.col_tiles {
-                let idx = rt * self.col_tiles + ct;
-                for r in 0..rows {
-                    let in_idx = rt * rows + r;
-                    if in_idx >= self.in_dim {
-                        break;
-                    }
-                    for j in 0..logical_cols {
-                        let out_idx = ct * logical_cols + j;
-                        if out_idx >= self.out_dim {
-                            break;
-                        }
-                        let q = self.weight_quant.quantize(w.at(out_idx, in_idx));
-                        let (p, n) = differential_split(q);
-                        for (k, &s) in slice_magnitude(p, cell_bits, slices).iter().enumerate() {
-                            let col = j * slices + k;
-                            if self.pos[idx].level_at(r, col) != s {
-                                self.pos[idx].program_cell(r, col, s);
-                                pulses += 1;
-                            }
-                        }
-                        for (k, &s) in slice_magnitude(n, cell_bits, slices).iter().enumerate() {
-                            let col = j * slices + k;
-                            if self.neg[idx].level_at(r, col) != s {
-                                self.neg[idx].program_cell(r, col, s);
-                                pulses += 1;
-                            }
-                        }
-                    }
-                }
-            }
+        let (mut pos, mut neg) = (Vec::new(), Vec::new());
+        for idx in 0..self.pos.len() {
+            // Only the block of cells holding weights can change.
+            let (used_rows, used_cols) = self.used_block(idx);
+            let width = used_cols * self.config.slices_per_weight();
+            pos.resize(used_rows * width, 0);
+            neg.resize(used_rows * width, 0);
+            self.tile_levels(w, idx, width, &mut pos, &mut neg);
+            pulses += self.pos[idx].program_changed(&pos, width);
+            pulses += self.neg[idx].program_changed(&neg, width);
         }
         pulses
     }
 
     fn write_levels(&mut self, w: &Matrix) {
+        let cols = self.config.cols;
+        let cells = self.config.rows * cols;
+        let (mut pos, mut neg) = (vec![0u32; cells], vec![0u32; cells]);
+        for idx in 0..self.pos.len() {
+            pos.fill(0);
+            neg.fill(0);
+            self.tile_levels(w, idx, cols, &mut pos, &mut neg);
+            self.pos[idx].program(&pos);
+            self.neg[idx].program(&neg);
+        }
+    }
+
+    /// Wordlines and logical columns of tile `idx` that hold weights (the
+    /// last row and column tiles may be partly empty).
+    fn used_block(&self, idx: usize) -> (usize, usize) {
+        let (rt, ct) = (idx / self.col_tiles, idx % self.col_tiles);
+        let (rows, logical_cols) = (self.config.rows, self.config.logical_cols());
+        (
+            rows.min(self.in_dim - rt * rows),
+            logical_cols.min(self.out_dim - ct * logical_cols),
+        )
+    }
+
+    /// Writes the bit-sliced levels of the weights tile `idx` holds into the
+    /// row-major level planes (`stride` cells per wordline) of its positive
+    /// and negative arrays. Slice `k` of a magnitude holds bits
+    /// `[k*cell_bits, (k+1)*cell_bits)` (see [`slice_magnitude`]); cells
+    /// outside the tile's [`used_block`](Self::used_block) are left as they
+    /// are.
+    ///
+    /// [`slice_magnitude`]: crate::quant::slice_magnitude
+    fn tile_levels(&self, w: &Matrix, idx: usize, stride: usize, pos: &mut [u32], neg: &mut [u32]) {
         let slices = self.config.slices_per_weight();
         let cell_bits = self.config.cell_bits;
-        let logical_cols = self.config.logical_cols();
-        let rows = self.config.rows;
-        let cols = self.config.cols;
-
-        for rt in 0..self.row_tiles {
-            for ct in 0..self.col_tiles {
-                let mut pos_levels = vec![0u32; rows * cols];
-                let mut neg_levels = vec![0u32; rows * cols];
-                for r in 0..rows {
-                    let in_idx = rt * rows + r;
-                    if in_idx >= self.in_dim {
-                        break;
-                    }
-                    for j in 0..logical_cols {
-                        let out_idx = ct * logical_cols + j;
-                        if out_idx >= self.out_dim {
-                            break;
-                        }
-                        let q = self.weight_quant.quantize(w.at(out_idx, in_idx));
-                        let (p, n) = differential_split(q);
-                        for (k, &s) in slice_magnitude(p, cell_bits, slices).iter().enumerate() {
-                            pos_levels[r * cols + j * slices + k] = s;
-                        }
-                        for (k, &s) in slice_magnitude(n, cell_bits, slices).iter().enumerate() {
-                            neg_levels[r * cols + j * slices + k] = s;
-                        }
-                    }
+        let mask = (1u64 << cell_bits) - 1;
+        let (row0, col0) = (
+            idx / self.col_tiles * self.config.rows,
+            idx % self.col_tiles * self.config.logical_cols(),
+        );
+        let (used_rows, used_cols) = self.used_block(idx);
+        for r in 0..used_rows {
+            for j in 0..used_cols {
+                let q = self.weight_quant.quantize(w.at(col0 + j, row0 + r));
+                let (p, n) = differential_split(q);
+                for k in 0..slices {
+                    let shift = k as u32 * cell_bits;
+                    let cell = r * stride + j * slices + k;
+                    pos[cell] = ((p >> shift) & mask) as u32;
+                    neg[cell] = ((n >> shift) & mask) as u32;
                 }
-                let idx = rt * self.col_tiles + ct;
-                self.pos[idx].program(&pos_levels);
-                self.neg[idx].program(&neg_levels);
             }
         }
     }

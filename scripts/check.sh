@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Static checks for the first-party crates: formatting and lints.
+# Static checks for the first-party crates: formatting and lints, plus the
+# crossbar crate's tests (its fast paths are pinned to their references).
 #
 # Offline-tolerant: runs with --offline against the in-repo vendor/ crates,
 # and each tool is skipped with a notice when its rustup component is not
@@ -53,6 +54,9 @@ cargo run --offline -q -p reram-lint || status=1
 
 echo "== reram-lint --plans (lowered-plan invariants) =="
 cargo run --offline -q -p reram-lint -- --plans || status=1
+
+echo "== cargo test -p reram-crossbar =="
+cargo test -q --offline -p reram-crossbar || status=1
 
 echo "== cargo build --examples =="
 cargo build --offline -q --examples || status=1

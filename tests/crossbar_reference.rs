@@ -1,0 +1,180 @@
+//! Crossbar fast paths against the references they stand in for.
+//!
+//! On an ideal device `CrossbarArray::mvm_codes` computes the integer dot
+//! product of the level plane and the input codes directly; the spike-coded
+//! `mvm_codes_bit_serial` loop is the paper-faithful reference (§III-A.3).
+//! The two must agree bit for bit — outputs, spike counts and every
+//! telemetry count the analytical cost models are checked against.
+//!
+//! Telemetry is process-global, so every test in this file runs its crossbar
+//! work under `scoped_recorder`, which keeps the tests from recording into
+//! each other's counters.
+
+use std::sync::Arc;
+
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use reram_suite::crossbar::array::CrossbarArray;
+use reram_suite::crossbar::CrossbarConfig;
+use reram_suite::datasets::Dataset;
+use reram_suite::nn::backend::LinearEngine;
+use reram_suite::nn::layers::{ActivationLayer, Conv2d, Flatten, Linear, Pool2d};
+use reram_suite::nn::Network;
+use reram_suite::tensor::{init, Shape4};
+use reram_telemetry::{scoped_recorder, CounterRecorder, Event};
+
+/// The events one MVM records, in the order reported by [`counted`].
+const MVM_EVENTS: [Event; 4] = [
+    Event::CrossbarMvm,
+    Event::SpikeFrame,
+    Event::AdcConversion,
+    Event::DacConversion,
+];
+
+/// Runs `f` under a fresh scoped recorder; returns its output and the
+/// [`MVM_EVENTS`] counts it recorded.
+fn counted(f: impl FnOnce() -> Vec<u64>) -> (Vec<u64>, [u64; 4]) {
+    let counters = Arc::new(CounterRecorder::new());
+    let out = {
+        let _guard = scoped_recorder(counters.clone());
+        f()
+    };
+    (out, MVM_EVENTS.map(|e| counters.count(e)))
+}
+
+/// A programmed array with random levels and the given fault rates, plus
+/// random input codes: all zero (`mode` 0), all at the largest code (1), or
+/// random with about a third of them zero (otherwise).
+fn random_case(
+    config: &CrossbarConfig,
+    input_bits: u32,
+    mode: u32,
+    seed: u64,
+) -> (CrossbarArray, Vec<u64>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let max_level = (1u32 << config.cell_bits) - 1;
+    let levels: Vec<u32> = (0..config.rows * config.cols)
+        .map(|_| rng.gen_range(0..=max_level))
+        .collect();
+    let max_code = (1u64 << input_bits) - 1;
+    let codes = (0..config.rows)
+        .map(|_| match mode {
+            0 => 0,
+            1 => max_code,
+            _ if rng.gen_bool(1.0 / 3.0) => 0,
+            _ => rng.gen_range(0..=max_code),
+        })
+        .collect();
+    let mut array = CrossbarArray::new(config);
+    array.program(&levels);
+    (array, codes)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The ideal-device fast path equals the bit-serial reference bit for
+    /// bit, over random geometry, cell and input precision, codes and
+    /// stuck-at fault maps.
+    #[test]
+    fn ideal_fast_path_equals_bit_serial_reference(
+        rows in 1usize..=130,
+        cols in 1usize..=130,
+        cell_bits in 1u32..=8,
+        input_bits in 1u32..=32,
+        stuck_off_pct in 0u32..=25,
+        stuck_on_pct in 0u32..=25,
+        mode in 0u32..4,
+        seed in 0u64..u64::MAX,
+    ) {
+        let config = CrossbarConfig {
+            rows,
+            cols,
+            cell_bits,
+            ..CrossbarConfig::default()
+        }
+        .with_faults(
+            f64::from(stuck_off_pct) / 100.0,
+            f64::from(stuck_on_pct) / 100.0,
+            seed,
+        );
+        let (mut fast, codes) = random_case(&config, input_bits, mode, seed);
+        let mut reference = fast.clone();
+        let (y_fast, n_fast) = counted(|| fast.mvm_codes(&codes, input_bits));
+        let (y_ref, n_ref) = counted(|| reference.mvm_codes_bit_serial(&codes, input_bits));
+        prop_assert_eq!(y_fast, y_ref);
+        prop_assert_eq!(n_fast, n_ref);
+        prop_assert_eq!(fast.spike_count(), reference.spike_count());
+        prop_assert_eq!(fast.mvm_count(), reference.mvm_count());
+        prop_assert_eq!(n_fast, [1, u64::from(input_bits), u64::from(input_bits) * cols as u64, rows as u64]);
+    }
+
+    /// A noisy device keeps the bit-serial path: `mvm_codes` draws the same
+    /// read noise and returns the same counts as the reference.
+    #[test]
+    fn noisy_mvm_is_the_bit_serial_reference(
+        rows in 1usize..=40,
+        cols in 1usize..=40,
+        cell_bits in 1u32..=8,
+        input_bits in 1u32..=16,
+        mode in 0u32..4,
+        seed in 0u64..u64::MAX,
+    ) {
+        let config = CrossbarConfig {
+            rows,
+            cols,
+            cell_bits,
+            ..CrossbarConfig::default()
+        }
+        .with_noise(0.05, 0.05, seed);
+        let (mut noisy, codes) = random_case(&config, input_bits, mode, seed);
+        let mut reference = noisy.clone();
+        let (y, n) = counted(|| noisy.mvm_codes(&codes, input_bits));
+        let (y_ref, n_ref) = counted(|| reference.mvm_codes_bit_serial(&codes, input_bits));
+        prop_assert_eq!(y, y_ref);
+        prop_assert_eq!(n, n_ref);
+        prop_assert_eq!(noisy.spike_count(), reference.spike_count());
+    }
+}
+
+/// Pins the delta-reprogram fallback under SGD, on the set-up of the host
+/// benchmark's `xbar_train` workload (same network, seeds, batches and
+/// learning rate). Every step grows some weight past the full scale its grid
+/// was quantized with, so each `reprogram_delta` falls back to a full
+/// reprogram and rewrites every cell, padding included; a true delta would
+/// leave the unused cells alone. Other seeds can let a grid take a true
+/// delta on some steps — the fallback is a property of the update, not of
+/// the grid.
+#[test]
+fn sgd_weight_updates_fall_back_to_full_reprogram() {
+    let counters = Arc::new(CounterRecorder::new());
+    let _guard = scoped_recorder(counters.clone());
+
+    let ds = Dataset::mnist_like().with_resolution(12);
+    let mut data_rng = init::seeded_rng(1);
+    let mut init_rng = init::seeded_rng(1 ^ 0x6e65_7477_6f72_6b00);
+    let engine = || LinearEngine::crossbar(CrossbarConfig::default());
+    let mut net = Network::new("sgd-fallback", Shape4::new(1, 1, 12, 12))
+        .push(Conv2d::new(1, 6, 3, 1, 1, &mut init_rng).with_engine(engine()))
+        .push(ActivationLayer::relu())
+        .push(Pool2d::max(2))
+        .push(Flatten::new())
+        .push(Linear::new(6 * 6 * 6, 4, &mut init_rng).with_engine(engine()));
+    // The conv grid is one differential pair of 128x128 arrays, the
+    // 216-input FC grid two.
+    let cells_per_update = 6 * 128 * 128;
+
+    for step in 0..40 {
+        let labels: Vec<usize> = (0..8).map(|i| (step * 8 + i) % 4).collect();
+        let x = ds.batch_for_labels(&labels, &mut data_rng);
+        let writes_before = counters.count(Event::CellWrite);
+        let _ = net.train_batch(&x, &labels, 0.05);
+        let writes = counters.count(Event::CellWrite) - writes_before;
+        // Step 0 programs the fresh grids; every later forward pass first
+        // applies the previous step's weight update to both grids.
+        if step > 0 {
+            assert_eq!(writes, cells_per_update, "step {step}");
+        }
+    }
+}
