@@ -8,7 +8,10 @@
 //! §II-A.2), buffer read/write traffic, and per-layer cycle and energy
 //! closed forms. Every downstream consumer derives from this one object:
 //!
-//! * [`crate::timing::NetworkTiming`] copies the plan's aggregates,
+//! * the plan prices itself: macro-cycles to seconds
+//!   ([`ExecutionPlan::cycles_to_seconds`]) and training/inference energy
+//!   ([`ExecutionPlan::training_energy_breakdown`]) for the Table I
+//!   accelerators, the chip planner and the endurance model,
 //! * [`crate::pipeline::PipelineModel`] and
 //!   [`crate::regan::ReganPipeline`] take their heterogeneous per-layer
 //!   stage costs from it ([`ExecutionPlan::pipeline_model`],
@@ -57,6 +60,26 @@ impl std::error::Error for PlanError {}
 impl From<MappingError> for PlanError {
     fn from(e: MappingError) -> Self {
         PlanError::Mapping(e)
+    }
+}
+
+/// Energy of a training run split by where it is spent.
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+pub struct EnergyBreakdown {
+    /// Forward-pass crossbar MVMs, joules.
+    pub forward_j: f64,
+    /// Backward-pass crossbar MVMs (error + weight-gradient), joules.
+    pub backward_j: f64,
+    /// Memory/buffer subarray traffic, joules.
+    pub buffer_j: f64,
+    /// Weight-array reprogramming, joules.
+    pub update_j: f64,
+}
+
+impl EnergyBreakdown {
+    /// Total energy, joules.
+    pub fn total_j(&self) -> f64 {
+        self.forward_j + self.backward_j + self.buffer_j + self.update_j
     }
 }
 
@@ -180,6 +203,47 @@ impl ExecutionPlan {
     /// Energy to reprogram every weight array once, pJ.
     pub fn update_energy_pj(&self) -> f64 {
         self.layers.iter().map(|l| l.update_energy_pj).sum()
+    }
+
+    /// Wall-clock time of `compute_cycles` pipeline macro-cycles plus
+    /// `update_cycles` weight-update cycles, seconds. A macro-cycle lasts
+    /// as long as the slowest stage: the forward cycle for inference, the
+    /// doubled backward cycle for training.
+    pub fn cycles_to_seconds(
+        &self,
+        compute_cycles: u64,
+        update_cycles: u64,
+        training: bool,
+    ) -> f64 {
+        let cycle = if training {
+            self.training_cycle_ns
+        } else {
+            self.forward_cycle_ns
+        };
+        (compute_cycles as f64 * cycle + update_cycles as f64 * self.update_cycle_ns) * 1e-9
+    }
+
+    /// Crossbar + buffer energy of training `n` inputs with `batches`
+    /// weight updates, joules.
+    pub fn training_energy_j(&self, n: u64, batches: u64) -> f64 {
+        self.training_energy_breakdown(n, batches).total_j()
+    }
+
+    /// Component-wise energy of training `n` inputs with `batches` weight
+    /// updates.
+    pub fn training_energy_breakdown(&self, n: u64, batches: u64) -> EnergyBreakdown {
+        let n = n as f64;
+        EnergyBreakdown {
+            forward_j: n * self.forward_energy_pj() * 1e-12,
+            backward_j: n * self.backward_energy_pj() * 1e-12,
+            buffer_j: n * self.buffer_energy_pj * 1e-12,
+            update_j: batches as f64 * self.update_energy_pj() * 1e-12,
+        }
+    }
+
+    /// Crossbar + buffer energy of `n` inference passes, joules.
+    pub fn inference_energy_j(&self, n: u64) -> f64 {
+        (n as f64 * (self.forward_energy_pj() + self.buffer_energy_pj / 3.0)) * 1e-12
     }
 
     /// Multiply-accumulates of one input's forward pass, over all layers.
@@ -325,7 +389,6 @@ pub fn regan_pipeline(d: &ExecutionPlan, g: &ExecutionPlan, batch: usize) -> Reg
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timing::NetworkTiming;
     use reram_nn::models;
 
     fn plan(net: &NetworkSpec) -> ExecutionPlan {
@@ -336,28 +399,78 @@ mod tests {
     fn lowers_lenet() {
         let p = plan(&models::lenet_spec());
         assert_eq!(p.layers.len(), 5);
+        assert_eq!(p.mappings().len(), 5);
         assert_eq!(p.layers[0].name, "conv1");
         assert_eq!(p.layers[4].name, "fc5");
         assert!(p.forward_cycle_ns > 0.0);
+        assert!(p.training_cycle_ns > p.forward_cycle_ns);
         assert!(p.total_arrays > 0);
+        assert!(p.area_mm2 > 0.0);
     }
 
     #[test]
-    fn aggregates_match_network_timing() {
-        for net in [models::lenet_spec(), models::alexnet_spec()] {
-            let p = plan(&net);
-            let t = NetworkTiming::analyze(&net, &AcceleratorConfig::default());
-            assert_eq!(p.forward_cycle_ns, t.forward_cycle_ns);
-            assert_eq!(p.training_cycle_ns, t.training_cycle_ns);
-            assert_eq!(p.update_cycle_ns, t.update_cycle_ns);
-            assert_eq!(p.forward_energy_pj(), t.forward_energy_pj);
-            assert_eq!(p.backward_energy_pj(), t.backward_energy_pj);
-            assert_eq!(p.buffer_energy_pj, t.buffer_energy_pj);
-            assert_eq!(p.update_energy_pj(), t.update_energy_pj);
-            assert_eq!(p.total_arrays, t.total_arrays);
-            assert_eq!(p.area_mm2, t.area_mm2);
-            assert_eq!(p.mappings(), t.mappings);
-        }
+    fn backward_cycle_is_twice_forward() {
+        let p = plan(&models::lenet_spec());
+        assert!((p.training_cycle_ns - 2.0 * p.forward_cycle_ns).abs() < 1e-9);
+        assert!((p.backward_energy_pj() - 2.0 * p.forward_energy_pj()).abs() < 1e-6);
+    }
+
+    #[test]
+    fn bigger_network_more_arrays_and_energy() {
+        let small = plan(&models::lenet_spec());
+        let big = plan(&models::vgg_a_spec());
+        assert!(big.total_arrays > 10 * small.total_arrays);
+        assert!(big.forward_energy_pj() > 100.0 * small.forward_energy_pj());
+    }
+
+    #[test]
+    fn cycle_time_bounded_by_replication_policy() {
+        // MaxStepsPerLayer(64) with 16 input bits and default frames:
+        // stage <= 64 MVMs x (16 frames + merge) ns.
+        let cfg = AcceleratorConfig::default()
+            .with_replication(crate::mapping::ReplicationPolicy::MaxStepsPerLayer(64));
+        let p = ExecutionPlan::lower(&models::vgg_a_spec(), &cfg).expect("lowerable");
+        let per_mvm = 16.0 * cfg.cost.frame_latency_ns + 16.0 * cfg.cost.adder_latency_ns;
+        assert!(
+            p.forward_cycle_ns <= 64.0 * per_mvm,
+            "cycle {} exceeds bound",
+            p.forward_cycle_ns
+        );
+    }
+
+    #[test]
+    fn cycles_to_seconds_composition() {
+        let p = plan(&models::lenet_spec());
+        let s = p.cycles_to_seconds(100, 2, true);
+        let want = (100.0 * p.training_cycle_ns + 2.0 * p.update_cycle_ns) * 1e-9;
+        assert!((s - want).abs() < 1e-15);
+        let s = p.cycles_to_seconds(100, 0, false);
+        assert!((s - 100.0 * p.forward_cycle_ns * 1e-9).abs() < 1e-15);
+    }
+
+    #[test]
+    fn breakdown_sums_to_total() {
+        let p = plan(&models::alexnet_spec());
+        let b = p.training_energy_breakdown(256, 8);
+        assert!((b.total_j() - p.training_energy_j(256, 8)).abs() < 1e-12);
+        assert!(b.forward_j > 0.0 && b.backward_j > 0.0);
+        assert!(b.buffer_j > 0.0 && b.update_j > 0.0);
+        // Backward dominates forward 2:1 in the crossbar component.
+        assert!((b.backward_j / b.forward_j - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn training_energy_scales_with_inputs() {
+        let p = plan(&models::lenet_spec());
+        let e1 = p.training_energy_j(100, 10);
+        let e2 = p.training_energy_j(200, 20);
+        assert!((e2 / e1 - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn inference_energy_below_training_energy() {
+        let p = plan(&models::lenet_spec());
+        assert!(p.inference_energy_j(100) < p.training_energy_j(100, 10));
     }
 
     #[test]

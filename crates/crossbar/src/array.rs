@@ -298,8 +298,8 @@ impl CrossbarArray {
 
     /// Batched: one recorder acquisition for the whole MVM. Each of the
     /// `frames` bit-serial frames drives every bitline through one I&F
-    /// conversion, so conversions = frames x cols (core::timing's closed
-    /// form).
+    /// conversion, so conversions = frames x cols (the closed form behind
+    /// core's `LayerPlan::adc_conversions`).
     fn record_mvm(&self, frames: usize) {
         telemetry::with_recorder(|t| {
             t.record(Event::CrossbarMvm, 1);

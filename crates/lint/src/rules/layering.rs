@@ -63,25 +63,22 @@ pub const CORE_MODULES: &[&str] = &[
     "regan",
     "report",
     "subarray",
-    "timing",
     "verify",
 ];
 
 /// Sanctioned `(from, to)` module edges inside `reram-core`. The plan IR
 /// is the hub: `plan` lowers specs onto `mapping` and hands stage vectors
-/// to `pipeline`/`regan`, while `timing`, `report` and `accelerator`
-/// consume the lowered plan instead of re-walking the spec.
+/// to `pipeline`/`regan`, while `accelerator`, `chip`, `endurance` and
+/// `report` consume the lowered plan instead of re-walking the spec.
 pub const CORE_MODULE_EDGES: &[(&str, &str)] = &[
     ("accelerator", "pipeline"),
     ("accelerator", "plan"),
     ("accelerator", "regan"),
-    ("accelerator", "timing"),
-    ("chip", "mapping"),
-    ("chip", "timing"),
+    ("chip", "plan"),
     ("compiler", "isa"),
     ("compiler", "subarray"),
     ("config", "mapping"),
-    ("endurance", "timing"),
+    ("endurance", "plan"),
     ("plan", "mapping"),
     ("plan", "pipeline"),
     ("plan", "regan"),
@@ -91,12 +88,8 @@ pub const CORE_MODULE_EDGES: &[(&str, &str)] = &[
     ("verify", "mapping"),
     ("verify", "plan"),
     ("regan", "pipeline"),
-    ("report", "mapping"),
     ("report", "plan"),
-    ("report", "timing"),
     ("subarray", "isa"),
-    ("timing", "mapping"),
-    ("timing", "plan"),
 ];
 
 const RULE: &str = "layering";

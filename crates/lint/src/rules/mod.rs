@@ -5,7 +5,6 @@ pub mod determinism;
 pub mod layering;
 pub mod must_use;
 pub mod panics;
-pub mod telemetry;
 pub mod units;
 
 use crate::workspace::Workspace;
@@ -23,13 +22,8 @@ pub const RULES: &[(&str, &str, RuleFn)] = &[
     ),
     (
         "units",
-        "f64 quantities in crossbar::cost / core::timing / core::report carry unit suffixes; no cross-dimension +/-",
+        "f64 quantities in crossbar::cost / core::plan / core::report carry unit suffixes; no cross-dimension +/-",
         units::check,
-    ),
-    (
-        "telemetry-coverage",
-        "every telemetry::Event variant is emitted somewhere outside the telemetry crate",
-        telemetry::check,
     ),
     (
         "panic",

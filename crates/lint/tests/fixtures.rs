@@ -110,7 +110,7 @@ fn layering_accepts_sanctioned_core_module_edges() {
                     use crate::mapping::LayerMapping;\n\
                     use crate::pipeline::PipelineModel;\n\
                     pub use crate::plan::layer::LayerPlan;\n";
-    let timing_src = "#![forbid(unsafe_code)]\n\
+    let chip_src = "#![forbid(unsafe_code)]\n\
                       use crate::plan::ExecutionPlan;\n\
                       // lint:allow(layering) doc example exercises the report facade\n\
                       use crate::report::RunReport;\n\
@@ -123,7 +123,7 @@ fn layering_accepts_sanctioned_core_module_edges() {
         &[
             ("crates/core/src/lib.rs", root_src),
             ("crates/core/src/plan/mod.rs", plan_src),
-            ("crates/core/src/timing.rs", timing_src),
+            ("crates/core/src/chip.rs", chip_src),
         ],
     )]);
     let diags = check_workspace(&ws);
@@ -172,12 +172,12 @@ fn units_flags_cross_dimension_addition() {
         &m,
         &[
             ("crates/core/src/lib.rs", "#![forbid(unsafe_code)]\n"),
-            ("crates/core/src/timing.rs", src),
+            ("crates/core/src/plan/mod.rs", src),
         ],
     )]);
     let hits = rules_hit(&ws);
     assert!(
-        hits.contains(&("crates/core/src/timing.rs:3".to_owned(), "units")),
+        hits.contains(&("crates/core/src/plan/mod.rs:3".to_owned(), "units")),
         "ns + pj must trip: {hits:?}"
     );
 }
@@ -203,7 +203,7 @@ fn units_accepts_suffixed_quantities_and_same_dimension_sums() {
 }
 
 #[test]
-fn telemetry_coverage_flags_unemitted_variant() {
+fn dead_event_flags_unemitted_variant() {
     let telemetry_manifest = manifest("reram-telemetry", &[]);
     let event_src = "#![forbid(unsafe_code)]\n\
                      pub enum Event {\n    CrossbarMvm = 0,\n    CellWrite = 1,\n}\n";
@@ -226,17 +226,14 @@ fn telemetry_coverage_flags_unemitted_variant() {
         ),
     ]);
     let diags = check_workspace(&ws);
-    let coverage: Vec<_> = diags
-        .iter()
-        .filter(|d| d.rule == "telemetry-coverage")
-        .collect();
-    assert_eq!(coverage.len(), 1, "exactly CellWrite uncovered: {diags:?}");
-    assert!(coverage[0].message.contains("CellWrite"));
-    assert_eq!(coverage[0].line, 4);
+    let dead: Vec<_> = diags.iter().filter(|d| d.rule == "dead-event").collect();
+    assert_eq!(dead.len(), 1, "exactly CellWrite unemitted: {diags:?}");
+    assert!(dead[0].message.contains("CellWrite"));
+    assert_eq!(dead[0].line, 4);
 }
 
 #[test]
-fn telemetry_coverage_passes_when_all_variants_emitted() {
+fn dead_event_passes_when_all_variants_emitted() {
     let telemetry_manifest = manifest("reram-telemetry", &[]);
     let event_src = "#![forbid(unsafe_code)]\npub enum Event {\n    CrossbarMvm = 0,\n}\n";
     let emitter_manifest = manifest("reram-crossbar", &["reram-telemetry"]);
@@ -389,9 +386,8 @@ fn dead_event_flags_referenced_but_never_recorded_variant() {
     let event_src = "#![forbid(unsafe_code)]\n\
                      pub enum Event {\n    CrossbarMvm = 0,\n    CellWrite = 1,\n}\n";
     let emitter_manifest = manifest("reram-crossbar", &["reram-telemetry"]);
-    // `CellWrite` is *referenced* (a match arm), which satisfies
-    // telemetry-coverage — but only `CrossbarMvm` is ever passed to a
-    // `record(...)` call, so its counter can never move.
+    // `CellWrite` is *referenced* (a match arm), but only `CrossbarMvm` is
+    // ever passed to a `record(...)` call, so its counter can never move.
     let emitter_src = "#![forbid(unsafe_code)]\n\
                        pub fn mvm() { record(Event::CrossbarMvm, 1); }\n\
                        pub fn label(e: &Event) -> u32 {\n\
@@ -413,15 +409,38 @@ fn dead_event_flags_referenced_but_never_recorded_variant() {
         ),
     ]);
     let diags = check_workspace(&ws);
-    assert!(
-        diags.iter().all(|d| d.rule != "telemetry-coverage"),
-        "the match arm satisfies coverage: {diags:?}"
-    );
     let dead: Vec<_> = diags.iter().filter(|d| d.rule == "dead-event").collect();
     assert_eq!(dead.len(), 1, "exactly CellWrite is dead: {diags:?}");
     assert!(dead[0].message.contains("CellWrite"));
     assert!(dead[0].path.ends_with("event.rs"));
     assert_eq!(dead[0].line, 4);
+}
+
+#[test]
+fn dead_event_flags_unparseable_event_vocabulary() {
+    // A telemetry crate whose `Event` enum the parser cannot find must not
+    // pass silently with zero variants to check.
+    let telemetry_manifest = manifest("reram-telemetry", &[]);
+    let event_src = "#![forbid(unsafe_code)]\npub struct Event(u32);\n";
+    let ws = Workspace::from_sources(&[(
+        "reram-telemetry",
+        &telemetry_manifest,
+        &[
+            ("crates/telemetry/src/lib.rs", "#![forbid(unsafe_code)]\n"),
+            ("crates/telemetry/src/event.rs", event_src),
+        ],
+    )]);
+    let diags = check_workspace(&ws);
+    let dead: Vec<_> = diags.iter().filter(|d| d.rule == "dead-event").collect();
+    assert_eq!(
+        dead.len(),
+        1,
+        "expected one vocabulary diagnostic: {diags:?}"
+    );
+    assert!(dead[0]
+        .message
+        .contains("could not find any `enum Event` variants"));
+    assert!(dead[0].path.ends_with("Cargo.toml"));
 }
 
 #[test]

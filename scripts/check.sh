@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Static checks for the first-party crates: formatting and lints, plus the
-# crossbar crate's tests (its fast paths are pinned to their references).
+# tests of the crossbar crate (its fast paths are pinned to their
+# references), the core crate (plan pricing, compiler, chip planning) and
+# the lint crate (rule fixtures and the live-workspace check).
 #
 # Offline-tolerant: runs with --offline against the in-repo vendor/ crates,
 # and each tool is skipped with a notice when its rustup component is not
@@ -57,6 +59,9 @@ cargo run --offline -q -p reram-lint -- --plans || status=1
 
 echo "== cargo test -p reram-crossbar =="
 cargo test -q --offline -p reram-crossbar || status=1
+
+echo "== cargo test -p reram-core -p reram-lint =="
+cargo test -q --offline -p reram-core -p reram-lint || status=1
 
 echo "== cargo build --examples =="
 cargo build --offline -q --examples || status=1
