@@ -26,14 +26,20 @@ fn bench_spike_encode(c: &mut Criterion) {
 }
 
 fn bench_array_mvm(c: &mut Criterion) {
-    let cfg = CrossbarConfig::default();
-    let mut array = CrossbarArray::new(&cfg);
-    let levels: Vec<u32> = (0..cfg.rows * cfg.cols).map(|i| (i % 16) as u32).collect();
-    array.program(&levels);
-    let codes: Vec<u64> = (0..cfg.rows as u64).map(|i| (i * 97) % 65536).collect();
-    c.bench_function("array_mvm_128x128_16b", |b| {
-        b.iter(|| black_box(array.mvm_codes(&codes, 16)));
-    });
+    let ideal = CrossbarConfig::default();
+    let noisy = ideal.clone().with_noise(0.02, 0.02, 3);
+    for (name, cfg) in [
+        ("array_mvm_128x128_16b", ideal),
+        ("array_mvm_128x128_16b_noisy", noisy),
+    ] {
+        let mut array = CrossbarArray::new(&cfg);
+        let levels: Vec<u32> = (0..cfg.rows * cfg.cols).map(|i| (i % 16) as u32).collect();
+        array.program(&levels);
+        let codes: Vec<u64> = (0..cfg.rows as u64).map(|i| (i * 97) % 65536).collect();
+        c.bench_function(name, |b| {
+            b.iter(|| black_box(array.mvm_codes(&codes, 16)));
+        });
+    }
 }
 
 fn bench_tiled_program(c: &mut Criterion) {

@@ -5,7 +5,7 @@
 //! crossbar array. Thus, the current flowing to the end of each bitline is
 //! viewed as the result of the matrix-vector multiplication."
 
-use crate::device::ReramDeviceModel;
+use crate::device::{ReramCell, ReramDeviceModel};
 use crate::spike::{self, IntegrateFire, SpikeTrain};
 use crate::CrossbarConfig;
 use rand::rngs::StdRng;
@@ -187,8 +187,9 @@ impl CrossbarArray {
     /// One analog frame: bitline currents with the given wordlines active.
     ///
     /// Returns `cols` currents, each the sum of active cells' conductances.
-    /// Read noise (if configured) is drawn once per bitline per frame,
-    /// modelling integrated current noise at the I&F input.
+    /// Read noise (if configured) is one shared dummy-cell draw per frame
+    /// plus one draw per bitline, modelling integrated current noise at the
+    /// I&F input.
     ///
     /// # Panics
     ///
@@ -213,8 +214,8 @@ impl CrossbarArray {
             }
         }
         if !self.device.is_ideal() {
-            // One equivalent read-noise draw per bitline; a dummy level-0
-            // cell turns the device's read noise into additive current noise.
+            // One dummy level-0 cell per frame turns the device's read noise
+            // into additive current noise, drawn once per bitline.
             // The dummy is a readout artifact: it must not count as cell
             // write/read traffic in endurance or telemetry accounting.
             let dummy = self.device.noise_dummy();
@@ -232,19 +233,22 @@ impl CrossbarArray {
     /// I&F count of the spike-coded product is exact, so the bit-serial
     /// merge `Σ_t 2^t · IF(Σ_r g[r][c] · bit_t(x_r))` equals the integer dot
     /// product, which this computes directly from the level plane. A noisy
-    /// device runs [`mvm_codes_bit_serial`](Self::mvm_codes_bit_serial).
-    /// Both paths record the same telemetry and counters.
+    /// device runs the frames without a spike train and skips the Gaussian
+    /// transform wherever read noise cannot change a count (see
+    /// `noisy_frames`). Both paths equal
+    /// [`mvm_codes_bit_serial`](Self::mvm_codes_bit_serial) bit for bit —
+    /// outputs, RNG stream, telemetry and counters.
     ///
     /// # Panics
     ///
     /// Panics if `codes.len() != rows` or a code exceeds `input_bits`.
     pub fn mvm_codes(&mut self, codes: &[u64], input_bits: u32) -> Vec<u64> {
-        if !self.device.is_ideal() {
-            return self.mvm_codes_bit_serial(codes, input_bits);
-        }
         self.begin_mvm(codes);
         self.spike_count += spike::drive(codes, input_bits);
         self.record_mvm(input_bits as usize);
+        if !self.device.is_ideal() {
+            return self.noisy_frames(codes, input_bits);
+        }
         let mut acc = vec![0u64; self.cols];
         for (r, &code) in codes.iter().enumerate() {
             if code == 0 {
@@ -258,8 +262,56 @@ impl CrossbarArray {
         acc
     }
 
-    /// Full spike-coded matrix-vector multiplication — the reference the
-    /// ideal-device path of [`mvm_codes`](Self::mvm_codes) must equal.
+    /// The bit-serial frames of a noisy-device MVM, merged with binary
+    /// weights: the same sums, draws and counts as
+    /// [`mvm_codes_bit_serial`](Self::mvm_codes_bit_serial), without its
+    /// spike train or per-frame currents.
+    ///
+    /// Each frame sums the active conductance rows in row order, as
+    /// [`bitline_currents`](Self::bitline_currents) does, and draws the
+    /// shared noise dummy. Each bitline then draws its two read-noise
+    /// uniforms, keeping the RNG stream where the reference leaves it, but
+    /// transforms them (in the out-of-line `noisy_count`) only when the
+    /// noise could change its count: the noise lies within the bound `B` of
+    /// `ReramDeviceModel::read_noise_bound`, and `settled_count` proves
+    /// that no noise within `B` moves the count of most currents.
+    fn noisy_frames(&mut self, codes: &[u64], input_bits: u32) -> Vec<u64> {
+        let cols = self.cols;
+        let mut acc = vec![0u64; cols];
+        let mut currents = vec![0.0f64; cols];
+        for t in 0..input_bits {
+            currents.fill(0.0);
+            for (r, &code) in codes.iter().enumerate() {
+                if (code >> t) & 1 == 1 {
+                    let row = &self.conductances[r * cols..(r + 1) * cols];
+                    for (cur, &g) in currents.iter_mut().zip(row) {
+                        *cur += g;
+                    }
+                }
+            }
+            let dummy = self.device.noise_dummy();
+            let weight = 1u64 << t;
+            if !self.device.has_read_noise() {
+                for (a, &cur) in acc.iter_mut().zip(&currents) {
+                    *a += spike::fire_count(cur) * weight;
+                }
+                continue;
+            }
+            let slack = 0.5 - self.device.read_noise_bound(&dummy) - COUNT_MARGIN;
+            for (a, &cur) in acc.iter_mut().zip(&currents) {
+                let (u1, u2) = self.device.gaussian_uniforms();
+                let count = match settled_count(cur, slack) {
+                    Some(count) => count,
+                    None => noisy_count(&self.device, &dummy, cur, u1, u2),
+                };
+                *a += count * weight;
+            }
+        }
+        acc
+    }
+
+    /// Full spike-coded matrix-vector multiplication — the reference
+    /// [`mvm_codes`](Self::mvm_codes) must equal on every device.
     ///
     /// Encodes `codes` (one unsigned integer per wordline) as a weighted
     /// spike train, integrates every frame through I&F counters, and merges
@@ -322,6 +374,52 @@ impl CrossbarArray {
     pub fn write_count(&self) -> u64 {
         self.device.write_count()
     }
+}
+
+/// Safety margin of [`settled_count`], in counts: above the two roundings
+/// (at most `2^-32` each below [`SETTLED_BELOW`]) it must absorb.
+const COUNT_MARGIN: f64 = 1.0 / (1u64 << 30) as f64;
+
+/// [`settled_count`] decides only for currents below this (`2^21`).
+const SETTLED_BELOW: f64 = (1u64 << 21) as f64;
+
+/// The I&F count of `current + n`, the same for every read noise `n` with
+/// `|n| <= B`, or `None` if the noise could move it. `slack` is
+/// `0.5 − B − COUNT_MARGIN`.
+///
+/// Let `f = fl(current + 0.5)` and `k = ⌊f⌋` (the cast); `f − k` is exact.
+/// The count of a current `x` is `k` exactly when `x + 0.5` lies in
+/// `[k, k + 1)` (for `k = 0` the clamp at zero covers `x < 0`). The
+/// reference counts `x = fl(current + n)`. Below `2^21` the rounding of `f`
+/// and of `x` each move a value by at most `2^-32`, so `x + 0.5` lies within
+/// `B + 2^-31` of `f`, while `|f − k − 0.5| < slack` puts `f` more than
+/// `B + 2^-30` inside `(k, k + 1)`: the count is `k`. A cast and a compare
+/// replace the two libm `round` calls that checking both ends of
+/// `[current − B, current + B]` would take.
+#[inline]
+fn settled_count(current: f64, slack: f64) -> Option<u64> {
+    let shifted = current + 0.5;
+    let whole = shifted as u32;
+    (shifted < SETTLED_BELOW && (shifted - f64::from(whole) - 0.5).abs() < slack)
+        .then_some(u64::from(whole))
+}
+
+/// The I&F count of `current` plus the read noise the uniforms `u1, u2`
+/// transform into, as the reference computes it for every bitline.
+///
+/// Out of line and cold on purpose: inlined, the optimizer hoists the `ln`
+/// and `cos` of the transform out of this rarely taken branch and into
+/// every bitline of the hot loop.
+#[cold]
+#[inline(never)]
+fn noisy_count(
+    device: &ReramDeviceModel,
+    dummy: &ReramCell,
+    current: f64,
+    u1: f64,
+    u2: f64,
+) -> u64 {
+    spike::fire_count(current + device.read_noise_from(dummy, u1, u2))
 }
 
 #[cfg(test)]

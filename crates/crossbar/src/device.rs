@@ -151,7 +151,37 @@ impl ReramDeviceModel {
     /// as [`read`](Self::read), leaving the read counter untouched.
     pub fn read_noise(&mut self, cell: &ReramCell) -> f64 {
         if self.read_sigma > 0.0 {
-            (cell.conductance + self.read_sigma * self.gaussian()).max(0.0) - cell.conductance
+            let (u1, u2) = self.gaussian_uniforms();
+            self.read_noise_from(cell, u1, u2)
+        } else {
+            0.0
+        }
+    }
+
+    /// Whether [`read_noise`](Self::read_noise) draws from the RNG stream.
+    pub(crate) fn has_read_noise(&self) -> bool {
+        self.read_sigma > 0.0
+    }
+
+    /// The transform half of [`read_noise`](Self::read_noise): the additive
+    /// read noise for `cell` given the two uniforms
+    /// [`gaussian_uniforms`](Self::gaussian_uniforms) drew.
+    pub(crate) fn read_noise_from(&self, cell: &ReramCell, u1: f64, u2: f64) -> f64 {
+        (cell.conductance + self.read_sigma * box_muller(u1, u2)).max(0.0) - cell.conductance
+    }
+
+    /// A bound `B` with `|read_noise(cell)| <= B` for every possible draw,
+    /// and `B = 0` when there is no read noise.
+    ///
+    /// The noise is `max(c + rs·g, 0) − c` for `c = cell.conductance() >= 0`,
+    /// so `B = max(GAUSSIAN_BOUND·rs, c)`. The clamp keeps it at or above
+    /// `−c`. Above, it is at most `rs·|g|` plus the rounding of `c + rs·g`,
+    /// at most `2^-52·(c + rs·|g|)`: while `c <= GAUSSIAN_BOUND·rs` the slack
+    /// of [`GAUSSIAN_BOUND`] over `|g|` absorbs that rounding, and beyond it
+    /// `c` bounds the sum.
+    pub(crate) fn read_noise_bound(&self, cell: &ReramCell) -> f64 {
+        if self.read_sigma > 0.0 {
+            (GAUSSIAN_BOUND * self.read_sigma).max(cell.conductance)
         } else {
             0.0
         }
@@ -173,11 +203,31 @@ impl ReramDeviceModel {
     }
 
     fn gaussian(&mut self) -> f64 {
-        // Box–Muller; cheap and dependency-free.
+        let (u1, u2) = self.gaussian_uniforms();
+        box_muller(u1, u2)
+    }
+
+    /// The draw half of one standard Gaussian: the two uniforms
+    /// [`box_muller`] turns into a sample, in stream order.
+    pub(crate) fn gaussian_uniforms(&mut self) -> (f64, f64) {
         let u1: f64 = self.rng.gen_range(f64::EPSILON..1.0);
         let u2: f64 = self.rng.gen_range(0.0..1.0);
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+        (u1, u2)
     }
+}
+
+/// No Gaussian the device draws exceeds this in magnitude: the first
+/// uniform of [`box_muller`] is at least `ε = f64::EPSILON`, so
+/// `|g| <= sqrt(−2 ln ε) = 8.4904…`. The 0.1% slack up to 8.5 absorbs the
+/// rounding of `ln`, `sqrt` and `cos`, and of the arithmetic that scales
+/// and offsets a sample into read noise.
+const GAUSSIAN_BOUND: f64 = 8.5;
+
+/// The transform half of one standard Gaussian (Box–Muller; cheap and
+/// dependency-free). `u1` lies in `[ε, 1)` and `u2` in `[0, 1)`, so the
+/// result lies within [`GAUSSIAN_BOUND`].
+fn box_muller(u1: f64, u2: f64) -> f64 {
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]
@@ -280,6 +330,47 @@ mod tests {
         }
         assert_eq!(free.write_count(), 0);
         assert_eq!(free.read_count(), 0);
+    }
+
+    #[test]
+    fn draw_then_transform_is_read_noise() {
+        let mut drawn = ReramDeviceModel::new(4, 0.1, 0.07, 42);
+        let mut reference = drawn.clone();
+        for _ in 0..50 {
+            let dummy = drawn.noise_dummy();
+            assert_eq!(dummy, reference.noise_dummy());
+            let bound = drawn.read_noise_bound(&dummy);
+            for _ in 0..8 {
+                let (u1, u2) = drawn.gaussian_uniforms();
+                let noise = drawn.read_noise_from(&dummy, u1, u2);
+                assert_eq!(noise.to_bits(), reference.read_noise(&dummy).to_bits());
+                assert!(noise.abs() <= bound, "noise {noise} beyond bound {bound}");
+            }
+        }
+        // Both streams end at the same position.
+        assert_eq!(drawn.gaussian(), reference.gaussian());
+    }
+
+    #[test]
+    fn extreme_uniforms_stay_within_the_gaussian_bound() {
+        let peak = (-2.0 * f64::EPSILON.ln()).sqrt();
+        assert!(peak > 8.4904 && peak < 8.4905, "peak {peak}");
+        for u2 in [0.0, 0.5] {
+            let g = box_muller(f64::EPSILON, u2);
+            assert!(g.abs() <= GAUSSIAN_BOUND, "g {g} at u2 {u2}");
+            assert!(g.abs() > 8.49, "u2 {u2} should reach the peak, got {g}");
+        }
+        // The read-noise bound holds at the extremes with no dummy offset.
+        let dev = ReramDeviceModel::new(4, 0.0, 0.3, 0);
+        let dummy = ReramCell {
+            level: 0,
+            conductance: 0.0,
+        };
+        let bound = dev.read_noise_bound(&dummy);
+        for u2 in [0.0, 0.5] {
+            let noise = dev.read_noise_from(&dummy, f64::EPSILON, u2);
+            assert!(noise.abs() <= bound, "noise {noise} beyond bound {bound}");
+        }
     }
 
     #[test]

@@ -113,13 +113,19 @@ impl IntegrateFire {
     /// Converts an integrated current into a non-negative spike count.
     pub fn convert(&mut self, current: f64) -> u64 {
         self.conversions += 1;
-        current.round().max(0.0) as u64
+        fire_count(current)
     }
 
     /// Number of conversions performed (for energy accounting).
     pub fn conversions(&self) -> u64 {
         self.conversions
     }
+}
+
+/// The count an I&F conversion of `current` yields: `current` rounded to the
+/// nearest integer, clamped at zero. Monotone non-decreasing in `current`.
+pub(crate) fn fire_count(current: f64) -> u64 {
+    current.round().max(0.0) as u64
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Static checks for the first-party crates: formatting and lints, plus the
-# tests of the crossbar crate (its fast paths are pinned to their
-# references), the core crate (plan pricing, compiler, chip planning) and
+# tests of the crossbar crate, the differential tests that pin its MVM fast
+# paths to the bit-serial reference (tests/crossbar_reference.rs in the
+# root package), the core crate (plan pricing, compiler, chip planning) and
 # the lint crate (rule fixtures and the live-workspace check).
 #
 # Offline-tolerant: runs with --offline against the in-repo vendor/ crates,
@@ -59,6 +60,9 @@ cargo run --offline -q -p reram-lint -- --plans || status=1
 
 echo "== cargo test -p reram-crossbar =="
 cargo test -q --offline -p reram-crossbar || status=1
+
+echo "== cargo test --test crossbar_reference (fast paths vs reference) =="
+cargo test -q --offline --test crossbar_reference || status=1
 
 echo "== cargo test -p reram-core -p reram-lint =="
 cargo test -q --offline -p reram-core -p reram-lint || status=1

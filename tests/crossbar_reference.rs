@@ -1,10 +1,12 @@
 //! Crossbar fast paths against the references they stand in for.
 //!
 //! On an ideal device `CrossbarArray::mvm_codes` computes the integer dot
-//! product of the level plane and the input codes directly; the spike-coded
-//! `mvm_codes_bit_serial` loop is the paper-faithful reference (§III-A.3).
-//! The two must agree bit for bit — outputs, spike counts and every
-//! telemetry count the analytical cost models are checked against.
+//! product of the level plane and the input codes directly; on a noisy one
+//! it skips the Gaussian transform wherever read noise cannot change an I&F
+//! count. The spike-coded `mvm_codes_bit_serial` loop is the paper-faithful
+//! reference (§III-A.3). Both fast paths must agree with it bit for bit —
+//! outputs, device RNG stream, spike counts and every telemetry count the
+//! analytical cost models are checked against.
 //!
 //! Telemetry is process-global, so every test in this file runs its crossbar
 //! work under `scoped_recorder`, which keeps the tests from recording into
@@ -99,7 +101,7 @@ proptest! {
             f64::from(stuck_on_pct) / 100.0,
             seed,
         );
-        let (mut fast, codes) = random_case(&config, input_bits, mode, seed);
+        let (mut fast, codes) = isolated(|| random_case(&config, input_bits, mode, seed));
         let mut reference = fast.clone();
         let (y_fast, n_fast) = counted(|| fast.mvm_codes(&codes, input_bits));
         let (y_ref, n_ref) = counted(|| reference.mvm_codes_bit_serial(&codes, input_bits));
@@ -110,14 +112,24 @@ proptest! {
         prop_assert_eq!(n_fast, [1, u64::from(input_bits), u64::from(input_bits) * cols as u64, rows as u64]);
     }
 
-    /// A noisy device keeps the bit-serial path: `mvm_codes` draws the same
-    /// read noise and returns the same counts as the reference.
+    /// The noisy-device fast path equals the bit-serial reference bit for
+    /// bit and leaves the device RNG where the reference does, over random
+    /// geometry, precision, codes, stuck-at fault maps and noise levels.
+    /// Write and read sigma each come from {0, small, >= 0.06}: at 0.06 and
+    /// above the read-noise bound exceeds half a count, so every bitline
+    /// takes the exact Gaussian branch. Two MVMs, a reprogram (which draws
+    /// write variation from the same stream) and a third MVM must all match.
     #[test]
-    fn noisy_mvm_is_the_bit_serial_reference(
-        rows in 1usize..=40,
-        cols in 1usize..=40,
+    fn noisy_fast_path_equals_bit_serial_reference(
+        rows in 1usize..=130,
+        cols in 1usize..=130,
         cell_bits in 1u32..=8,
         input_bits in 1u32..=16,
+        stuck_off_pct in 0u32..=25,
+        stuck_on_pct in 0u32..=25,
+        sigma_classes in 1u32..9,
+        write_scale in 0.0f64..1.0,
+        read_scale in 0.0f64..1.0,
         mode in 0u32..4,
         seed in 0u64..u64::MAX,
     ) {
@@ -127,15 +139,97 @@ proptest! {
             cell_bits,
             ..CrossbarConfig::default()
         }
-        .with_noise(0.05, 0.05, seed);
-        let (mut noisy, codes) = random_case(&config, input_bits, mode, seed);
-        let mut reference = noisy.clone();
-        let (y, n) = counted(|| noisy.mvm_codes(&codes, input_bits));
+        .with_noise(
+            sigma_of_class(sigma_classes / 3, write_scale),
+            sigma_of_class(sigma_classes % 3, read_scale),
+            seed,
+        )
+        .with_faults(
+            f64::from(stuck_off_pct) / 100.0,
+            f64::from(stuck_on_pct) / 100.0,
+            seed,
+        );
+        let (mut fast, codes) = isolated(|| random_case(&config, input_bits, mode, seed));
+        let mut reference = fast.clone();
+        let (y_fast, n_fast) = counted(|| fast.mvm_codes(&codes, input_bits));
         let (y_ref, n_ref) = counted(|| reference.mvm_codes_bit_serial(&codes, input_bits));
-        prop_assert_eq!(y, y_ref);
-        prop_assert_eq!(n, n_ref);
-        prop_assert_eq!(noisy.spike_count(), reference.spike_count());
+        prop_assert_eq!(y_fast, y_ref);
+        prop_assert_eq!(n_fast, n_ref);
+        let (relevels, recodes) = isolated(|| {
+            let (other, recodes) = random_case(&config, input_bits, 2, seed ^ 1);
+            (levels_of(&other), recodes)
+        });
+        let rest = |array: &mut CrossbarArray, mvm: Mvm| {
+            isolated(|| {
+                let second = mvm(array, &codes, input_bits);
+                array.program(&relevels);
+                let third = mvm(array, &recodes, input_bits);
+                let counters = [array.write_count(), array.spike_count(), array.mvm_count()];
+                (second, levels_of(array), counters, third)
+            })
+        };
+        prop_assert_eq!(
+            rest(&mut fast, CrossbarArray::mvm_codes),
+            rest(&mut reference, CrossbarArray::mvm_codes_bit_serial)
+        );
     }
+}
+
+/// An MVM entry point of [`CrossbarArray`].
+type Mvm = fn(&mut CrossbarArray, &[u64], u32) -> Vec<u64>;
+
+/// Runs `f` under a throwaway scoped recorder, so crossbar work outside
+/// [`counted`] records into no other test's counters.
+fn isolated<T>(f: impl FnOnce() -> T) -> T {
+    let _guard = scoped_recorder(Arc::new(CounterRecorder::new()));
+    f()
+}
+
+/// Sigma of noise class `class`: 0 (off), 1 (small, below 0.05) or 2
+/// (0.06 to 0.3), placed within the class by `scale` in `[0, 1)`.
+fn sigma_of_class(class: u32, scale: f64) -> f64 {
+    match class {
+        0 => 0.0,
+        1 => 0.001 + 0.049 * scale,
+        _ => 0.06 + 0.24 * scale,
+    }
+}
+
+/// The array's programmed levels, row-major.
+fn levels_of(array: &CrossbarArray) -> Vec<u32> {
+    (0..array.rows())
+        .flat_map(|r| (0..array.cols()).map(move |c| array.level_at(r, c)))
+        .collect()
+}
+
+/// Read noise changes I&F counts, and the fast path still equals the
+/// reference. With exact integer conductances (no write variation) and one
+/// input bit, a count can differ from the noise-free integer dot product
+/// only where the fast path ran the exact Gaussian branch: its skip branch
+/// returns the count of the noise-free current itself.
+#[test]
+fn noisy_fast_path_takes_the_exact_branch() {
+    let config = CrossbarConfig {
+        rows: 64,
+        cols: 64,
+        ..CrossbarConfig::default()
+    }
+    .with_noise(0.0, 0.3, 11);
+    let (mut fast, codes) = isolated(|| random_case(&config, 1, 2, 11));
+    let mut reference = fast.clone();
+    let levels = levels_of(&fast);
+    let exact: Vec<u64> = (0..config.cols)
+        .map(|c| {
+            (0..config.rows)
+                .map(|r| u64::from(levels[r * config.cols + c]) * codes[r])
+                .sum()
+        })
+        .collect();
+    let (y_fast, _) = counted(|| fast.mvm_codes(&codes, 1));
+    let (y_ref, _) = counted(|| reference.mvm_codes_bit_serial(&codes, 1));
+    assert_eq!(y_fast, y_ref);
+    let changed = y_fast.iter().zip(&exact).filter(|(y, e)| y != e).count();
+    assert!(changed > 0, "read noise changed no count: {y_fast:?}");
 }
 
 /// Pins the delta-reprogram fallback under SGD, on the set-up of the host
