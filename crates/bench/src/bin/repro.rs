@@ -173,11 +173,10 @@ fn main() {
         artifacts = ALL.iter().map(|a| (*a).to_string()).collect();
     }
 
-    let counters = json_path.as_ref().map(|_| {
-        let counters = Arc::new(CounterRecorder::new());
-        reram_telemetry::set_recorder(counters.clone());
-        counters
-    });
+    let counters = json_path.as_ref().map(|_| Arc::new(CounterRecorder::new()));
+    let recording = counters
+        .as_ref()
+        .map(|c| reram_telemetry::scoped_recorder(c.clone()));
 
     for a in &artifacts {
         if !run(a) {
@@ -186,15 +185,21 @@ fn main() {
         }
     }
 
+    drop(recording);
     if let (Some(path), Some(counters)) = (json_path, counters) {
-        reram_telemetry::clear_recorder();
         let net = models::lenet_spec();
-        let report = reram_core::build_run_report(
+        let report = match reram_core::build_run_report(
             &artifacts.join("+"),
             &net,
             &AcceleratorConfig::default(),
             &counters,
-        );
+        ) {
+            Ok(report) => report,
+            Err(e) => {
+                eprintln!("cannot report on {}: {e}", net.name);
+                std::process::exit(1);
+            }
+        };
         if let Err(e) = std::fs::write(&path, report.to_json()) {
             eprintln!("failed to write report to {path}: {e}");
             std::process::exit(1);

@@ -9,7 +9,7 @@
 //! validated against — an instrumented simulation of a layer must observe
 //! exactly the conversion and write counts the plan predicts.
 
-use crate::plan::{ExecutionPlan, LayerPlan};
+use crate::plan::{ExecutionPlan, LayerPlan, PlanError};
 use crate::AcceleratorConfig;
 use reram_nn::NetworkSpec;
 use reram_telemetry::{CounterRecorder, LayerReport, RunReport};
@@ -32,37 +32,39 @@ fn layer_report(l: &LayerPlan) -> LayerReport {
 /// Layers are named by kind and 1-based position among the weighted layers
 /// ("conv1", "fc4", ...), in network order.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the network has no weighted layers or the configuration is
-/// invalid.
-pub fn layer_reports(net: &NetworkSpec, config: &AcceleratorConfig) -> Vec<LayerReport> {
-    let plan = ExecutionPlan::lower(net, config)
-        // lint:allow(panic) documented contract — unliftable networks abort reporting
-        .unwrap_or_else(|e| panic!("cannot plan {}: {e}", net.name));
-    plan.layers.iter().map(layer_report).collect()
+/// The [`PlanError`] of lowering: the network has no weighted layers or
+/// the configuration is invalid.
+#[must_use = "the per-layer breakdown is the result"]
+pub fn layer_reports(
+    net: &NetworkSpec,
+    config: &AcceleratorConfig,
+) -> Result<Vec<LayerReport>, PlanError> {
+    let plan = ExecutionPlan::lower(net, config)?;
+    Ok(plan.layers.iter().map(layer_report).collect())
 }
 
 /// Builds a [`RunReport`] for one artifact: the per-layer closed-form
 /// breakdown for `net` plus everything `counters` observed (event totals,
 /// stage spans, metric samples).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the network has no weighted layers or the configuration is
-/// invalid.
+/// The [`PlanError`] of lowering `net`, as for [`layer_reports`].
+#[must_use = "the run report is the result"]
 pub fn build_run_report(
     artifact: &str,
     net: &NetworkSpec,
     config: &AcceleratorConfig,
     counters: &CounterRecorder,
-) -> RunReport {
+) -> Result<RunReport, PlanError> {
     let mut report = RunReport::new(artifact, net.name.clone());
-    report.layers = layer_reports(net, config);
+    report.layers = layer_reports(net, config)?;
     report.stages = counters.span_reports();
     report.totals = counters.snapshot();
     report.metrics = counters.metric_samples();
-    report
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -75,7 +77,7 @@ mod tests {
     fn layer_reports_cover_weighted_layers() {
         let net = models::lenet_spec();
         let cfg = AcceleratorConfig::default();
-        let layers = layer_reports(&net, &cfg);
+        let layers = layer_reports(&net, &cfg).expect("lowerable");
         assert_eq!(layers.len(), net.weighted_layer_count());
         assert_eq!(layers[0].name, "conv1");
         assert_eq!(layers[4].name, "fc5");
@@ -90,6 +92,7 @@ mod tests {
         let cfg = AcceleratorConfig::default();
         let plan = ExecutionPlan::lower(&net, &cfg).expect("lowerable");
         let total_writes: u64 = layer_reports(&net, &cfg)
+            .expect("lowerable")
             .iter()
             .map(|l| l.cell_writes)
             .sum();
@@ -108,7 +111,8 @@ mod tests {
         let net = models::lenet_spec();
         let cfg = AcceleratorConfig::default();
         let plan = ExecutionPlan::lower(&net, &cfg).expect("lowerable");
-        for (layer, m) in layer_reports(&net, &cfg).iter().zip(plan.mappings()) {
+        let layers = layer_reports(&net, &cfg).expect("lowerable");
+        for (layer, m) in layers.iter().zip(plan.mappings()) {
             let grid =
                 cfg.cost
                     .grid_mvm_cost(&cfg.crossbar, m.row_tiles, m.col_tiles, cfg.activity);
@@ -130,12 +134,30 @@ mod tests {
         counters.record(reram_telemetry::Event::CrossbarMvm, 7);
         counters.span("forward", 1000, 64);
         counters.metric("train/loss", 1.5);
-        let report = build_run_report("table1", &net, &cfg, &counters);
+        let report = build_run_report("table1", &net, &cfg, &counters).expect("lowerable");
         assert_eq!(report.workload, "lenet-mnist");
         assert_eq!(report.totals.crossbar_mvms, 7);
         assert_eq!(report.stages.len(), 1);
         assert_eq!(report.metrics.len(), 1);
         let parsed = RunReport::from_json(&report.to_json()).expect("round trip");
         assert_eq!(parsed, report);
+    }
+
+    #[test]
+    fn network_without_weighted_layers_is_an_error() {
+        let empty = NetworkSpec::new(
+            "empty",
+            reram_tensor::Shape4::new(1, 1, 4, 4),
+            vec![reram_nn::LayerSpec::Activation { elems: 16 }],
+        );
+        let cfg = AcceleratorConfig::default();
+        assert_eq!(
+            layer_reports(&empty, &cfg),
+            Err(PlanError::NoWeightedLayers)
+        );
+        assert_eq!(
+            build_run_report("empty", &empty, &cfg, &CounterRecorder::new()),
+            Err(PlanError::NoWeightedLayers)
+        );
     }
 }

@@ -4,15 +4,20 @@
 //! crossbar MVMs ran, how many ADC conversions they needed, how many cells
 //! were reprogrammed), *spans* (scoped stage timers attributing wall-clock
 //! and simulated cycles to pipeline stages), and *metrics* (scalar samples
-//! such as per-step training loss). All three flow to a process-global
-//! [`Recorder`] which defaults to "off":
+//! such as per-step training loss). All three flow to the [`Recorder`]
+//! installed on the calling thread, which defaults to "off":
 //!
 //! - When no recorder is installed, every instrumentation call is a single
-//!   relaxed atomic load — cheap enough to leave in hot MVM loops.
+//!   thread-local check — cheap enough to leave in hot MVM loops.
 //! - Tests and the `repro` binary install a [`CounterRecorder`] (or any
 //!   custom [`Recorder`]) for the duration of a scope via
 //!   [`scoped_recorder`], then snapshot counters into a serializable
 //!   [`RunReport`].
+//! - Recorders are thread-scoped. A guard installs its recorder on its own
+//!   thread only, so concurrently running tests never count each other's
+//!   events; guards nest, and dropping one restores the recorder it
+//!   replaced. A spawned thread records nothing until it installs a
+//!   recorder itself — possibly the same shared `Arc`.
 //!
 //! The design mirrors the `log` crate's facade pattern: instrumented crates
 //! depend only on this tiny crate, never on a concrete sink.
@@ -43,8 +48,7 @@ mod span;
 pub use counters::CounterRecorder;
 pub use event::{Event, EVENT_COUNT};
 pub use recorder::{
-    clear_recorder, enabled, metric, record, scoped_recorder, set_recorder, with_recorder,
-    Recorder, ScopedRecorder,
+    enabled, metric, record, scoped_recorder, with_recorder, Recorder, ScopedRecorder,
 };
 pub use report::{
     EventCounts, LayerReport, MetricSample, RunReport, SpanReport, REPORT_SCHEMA_VERSION,

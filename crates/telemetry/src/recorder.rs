@@ -1,7 +1,8 @@
-//! The global recorder facade.
+//! The thread-scoped recorder facade.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::cell::RefCell;
+use std::marker::PhantomData;
+use std::sync::Arc;
 
 use crate::Event;
 
@@ -9,7 +10,8 @@ use crate::Event;
 ///
 /// Implementations must be cheap and thread-safe: instrumented code calls
 /// these methods from hot simulation loops (batched at array granularity,
-/// but still frequent). The default method bodies make span/metric support
+/// but still frequent), and one recorder may be installed on several
+/// threads at once. The default method bodies make span/metric support
 /// optional for counter-only sinks.
 pub trait Recorder: Send + Sync {
     /// Records `count` occurrences of `event`.
@@ -27,94 +29,71 @@ pub trait Recorder: Send + Sync {
     }
 }
 
-/// Fast-path switch: `false` means every instrumentation call returns after
-/// one relaxed atomic load, without touching the recorder lock.
-static ENABLED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// This thread's installed recorder; `None` makes every instrumentation
+    /// call on the thread a no-op.
+    static RECORDER: RefCell<Option<Arc<dyn Recorder>>> = const { RefCell::new(None) };
+}
 
-/// The installed recorder. A `RwLock` (not `OnceLock`) so tests can swap
-/// recorders; the write path only runs at install/teardown time.
-static RECORDER: RwLock<Option<Arc<dyn Recorder>>> = RwLock::new(None);
-
-/// Serializes [`scoped_recorder`] users so concurrently running tests never
-/// observe each other's events.
-static SCOPE: Mutex<()> = Mutex::new(());
-
-/// Whether a recorder is currently installed. Instrumented code may use
-/// this to skip preparing expensive event arguments.
+/// Whether a recorder is installed on this thread. Instrumented code may
+/// use this to skip preparing expensive event arguments.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    RECORDER.with(|slot| slot.borrow().is_some())
 }
 
-/// Installs `recorder` as the process-global sink.
+/// Installs `recorder` on this thread for the lifetime of the returned
+/// guard, which restores the previously installed recorder (if any) on
+/// drop.
 ///
-/// Prefer [`scoped_recorder`] in tests; this unscoped variant suits binaries
-/// that install one recorder for their whole run.
-pub fn set_recorder(recorder: Arc<dyn Recorder>) {
-    let mut slot = RECORDER
-        .write()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    *slot = Some(recorder);
-    ENABLED.store(true, Ordering::Release);
-}
-
-/// Removes the global recorder, returning instrumentation to no-op mode.
-pub fn clear_recorder() {
-    ENABLED.store(false, Ordering::Release);
-    let mut slot = RECORDER
-        .write()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    *slot = None;
-}
-
-/// Installs `recorder` for the lifetime of the returned guard.
-///
-/// Guards are mutually exclusive process-wide: a second caller blocks until
-/// the first guard drops, which keeps parallel `cargo test` threads from
-/// polluting each other's counters.
+/// Scopes nest: an inner guard routes events to its recorder until it
+/// drops. Other threads never see this recorder; a thread that should
+/// record into it installs it with its own guard.
 pub fn scoped_recorder(recorder: Arc<dyn Recorder>) -> ScopedRecorder {
-    let lock = SCOPE
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    set_recorder(recorder);
-    ScopedRecorder { _lock: lock }
+    let previous = RECORDER.with(|slot| slot.replace(Some(recorder)));
+    ScopedRecorder {
+        previous,
+        _not_send: PhantomData,
+    }
 }
 
-/// RAII guard from [`scoped_recorder`]; uninstalls the recorder on drop.
+/// RAII guard from [`scoped_recorder`]. It restores this thread's slot, so
+/// it cannot leave the thread; nested guards must drop innermost first, as
+/// scoped `let` bindings do.
 pub struct ScopedRecorder {
-    _lock: MutexGuard<'static, ()>,
+    previous: Option<Arc<dyn Recorder>>,
+    _not_send: PhantomData<*const ()>,
 }
 
 impl Drop for ScopedRecorder {
     fn drop(&mut self) {
-        clear_recorder();
+        let previous = self.previous.take();
+        // `try_with`: a guard dropped while the thread's locals are torn
+        // down has no slot left to restore, and `Drop` must not panic.
+        let _ = RECORDER.try_with(|slot| slot.replace(previous));
     }
 }
 
-/// Runs `f` against the installed recorder, if any.
+/// Runs `f` against this thread's recorder, if any.
 ///
-/// This is the batching primitive: one enabled-check and one lock
-/// acquisition for any number of `record` calls inside `f`.
+/// This is the batching primitive: one thread-local check for any number
+/// of `record` calls inside `f`.
 #[inline]
 pub fn with_recorder(f: impl FnOnce(&dyn Recorder)) {
-    if !enabled() {
-        return;
-    }
-    let guard = RECORDER
-        .read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some(recorder) = guard.as_ref() {
-        f(recorder.as_ref());
-    }
+    RECORDER.with(|slot| {
+        if let Some(recorder) = slot.borrow().as_ref() {
+            f(recorder.as_ref());
+        }
+    });
 }
 
-/// Records `count` occurrences of `event` against the installed recorder.
+/// Records `count` occurrences of `event` against this thread's recorder.
 #[inline]
 pub fn record(event: Event, count: u64) {
     with_recorder(|r| r.record(event, count));
 }
 
-/// Records a scalar metric sample against the installed recorder.
+/// Records a scalar metric sample against this thread's recorder.
 #[inline]
 pub fn metric(name: &str, value: f64) {
     with_recorder(|r| r.metric(name, value));
@@ -142,7 +121,7 @@ mod tests {
     }
 
     #[test]
-    fn scopes_are_exclusive_and_sequential() {
+    fn sequential_scopes_keep_separate_counts() {
         let first = Arc::new(CounterRecorder::new());
         let second = Arc::new(CounterRecorder::new());
         {
@@ -155,5 +134,43 @@ mod tests {
         }
         assert_eq!(first.count(Event::CrossbarMvm), 1);
         assert_eq!(second.count(Event::CrossbarMvm), 2);
+    }
+
+    #[test]
+    fn other_threads_never_reach_this_threads_recorder() {
+        let counters = Arc::new(CounterRecorder::new());
+        let _guard = scoped_recorder(counters.clone());
+        let worker_enabled = std::thread::spawn(|| {
+            record(Event::CellWrite, 5);
+            metric("loss", 1.0);
+            drop(crate::Span::enter("worker"));
+            enabled()
+        })
+        .join()
+        .expect("worker thread panicked");
+        record(Event::CellWrite, 1);
+        assert!(!worker_enabled);
+        assert_eq!(counters.count(Event::CellWrite), 1);
+        assert!(counters.metrics().is_empty());
+        assert!(counters.span_reports().is_empty());
+    }
+
+    #[test]
+    fn nested_scopes_route_to_the_inner_recorder_and_restore_the_outer() {
+        let outer = Arc::new(CounterRecorder::new());
+        let inner = Arc::new(CounterRecorder::new());
+        {
+            let _outer = scoped_recorder(outer.clone());
+            record(Event::CrossbarMvm, 1);
+            {
+                let _inner = scoped_recorder(inner.clone());
+                record(Event::CrossbarMvm, 10);
+            }
+            record(Event::CrossbarMvm, 100);
+        }
+        assert!(!enabled());
+        record(Event::CrossbarMvm, 1000); // dropped: no recorder installed
+        assert_eq!(outer.count(Event::CrossbarMvm), 101);
+        assert_eq!(inner.count(Event::CrossbarMvm), 10);
     }
 }

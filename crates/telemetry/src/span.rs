@@ -8,8 +8,9 @@ use crate::recorder::{enabled, with_recorder};
 ///
 /// Created with [`Span::enter`]; on drop it reports the elapsed wall-clock
 /// time plus any simulated cycles attributed via [`Span::add_cycles`] to the
-/// installed recorder. When telemetry is disabled at entry the span holds no
-/// timestamp and drop is free — safe to use in per-batch loops.
+/// recorder installed on the dropping thread. When telemetry is disabled at
+/// entry the span holds no timestamp and drop is free — safe to use in
+/// per-batch loops.
 #[derive(Debug)]
 pub struct Span {
     name: &'static str,

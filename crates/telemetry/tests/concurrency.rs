@@ -1,11 +1,12 @@
-//! Thread-safety of the counter recorder and the global facade.
+//! Thread-safety of the counter recorder and the facade.
 //!
-//! Instrumented simulation code calls `telemetry::record` from whatever
-//! thread the caller happens to run on (rayon-style sharded MVM loops,
-//! parallel `cargo test` binaries), so lost updates would silently corrupt
-//! the hardware event totals that the regenerated paper tables rest on.
-//! These tests hammer one recorder from many threads and demand *exact*
-//! totals — relaxed-ordering counters still guarantee atomicity per update.
+//! Recorders are thread-scoped, but one `Arc<CounterRecorder>` may be
+//! installed on several threads at once, each through its own
+//! `scoped_recorder` guard, so that parallel work sums into one set of
+//! counters. Lost updates would silently corrupt the hardware event totals
+//! the regenerated paper tables rest on. These tests hammer one recorder
+//! from many threads and demand *exact* totals — relaxed-ordering counters
+//! still guarantee atomicity per update.
 
 use std::sync::Arc;
 use std::thread;
@@ -16,16 +17,17 @@ use reram_telemetry::{CounterRecorder, Event};
 const THREADS: u64 = 8;
 const ITERS: u64 = 10_000;
 
-/// N threads record through the global facade installed once; every update
-/// must land.
+/// N threads each install the same recorder and record through the facade;
+/// every update must land.
 #[test]
 fn facade_counters_are_exact_under_contention() {
     let counters = Arc::new(CounterRecorder::new());
-    let _guard = telemetry::scoped_recorder(counters.clone());
 
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
+            let c = counters.clone();
             thread::spawn(move || {
+                let _guard = telemetry::scoped_recorder(c);
                 for i in 0..ITERS {
                     telemetry::record(Event::CrossbarMvm, 1);
                     // Mix in a second event and variable counts so threads
@@ -54,9 +56,9 @@ fn facade_counters_are_exact_under_contention() {
 }
 
 /// Direct (facade-free) recorder use from many threads: the recorder alone
-/// must be exact, independent of the global installation machinery.
+/// must be exact, independent of the installation machinery.
 #[test]
-fn recorder_is_exact_without_global_install() {
+fn recorder_is_exact_without_install() {
     let counters = Arc::new(CounterRecorder::new());
     let handles: Vec<_> = (0..THREADS)
         .map(|_| {
@@ -82,11 +84,12 @@ fn recorder_is_exact_without_global_install() {
 #[test]
 fn mixed_span_metric_event_traffic() {
     let counters = Arc::new(CounterRecorder::new());
-    let _guard = telemetry::scoped_recorder(counters.clone());
 
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
+            let c = counters.clone();
             thread::spawn(move || {
+                let _guard = telemetry::scoped_recorder(c);
                 for i in 0..(ITERS / 10) {
                     let mut span = telemetry::Span::enter("stress");
                     span.add_cycles(1);

@@ -7,10 +7,6 @@
 //! reference (§III-A.3). Both fast paths must agree with it bit for bit —
 //! outputs, device RNG stream, spike counts and every telemetry count the
 //! analytical cost models are checked against.
-//!
-//! Telemetry is process-global, so every test in this file runs its crossbar
-//! work under `scoped_recorder`, which keeps the tests from recording into
-//! each other's counters.
 
 use std::sync::Arc;
 
@@ -101,7 +97,7 @@ proptest! {
             f64::from(stuck_on_pct) / 100.0,
             seed,
         );
-        let (mut fast, codes) = isolated(|| random_case(&config, input_bits, mode, seed));
+        let (mut fast, codes) = random_case(&config, input_bits, mode, seed);
         let mut reference = fast.clone();
         let (y_fast, n_fast) = counted(|| fast.mvm_codes(&codes, input_bits));
         let (y_ref, n_ref) = counted(|| reference.mvm_codes_bit_serial(&codes, input_bits));
@@ -149,24 +145,20 @@ proptest! {
             f64::from(stuck_on_pct) / 100.0,
             seed,
         );
-        let (mut fast, codes) = isolated(|| random_case(&config, input_bits, mode, seed));
+        let (mut fast, codes) = random_case(&config, input_bits, mode, seed);
         let mut reference = fast.clone();
         let (y_fast, n_fast) = counted(|| fast.mvm_codes(&codes, input_bits));
         let (y_ref, n_ref) = counted(|| reference.mvm_codes_bit_serial(&codes, input_bits));
         prop_assert_eq!(y_fast, y_ref);
         prop_assert_eq!(n_fast, n_ref);
-        let (relevels, recodes) = isolated(|| {
-            let (other, recodes) = random_case(&config, input_bits, 2, seed ^ 1);
-            (levels_of(&other), recodes)
-        });
+        let (other, recodes) = random_case(&config, input_bits, 2, seed ^ 1);
+        let relevels = levels_of(&other);
         let rest = |array: &mut CrossbarArray, mvm: Mvm| {
-            isolated(|| {
-                let second = mvm(array, &codes, input_bits);
-                array.program(&relevels);
-                let third = mvm(array, &recodes, input_bits);
-                let counters = [array.write_count(), array.spike_count(), array.mvm_count()];
-                (second, levels_of(array), counters, third)
-            })
+            let second = mvm(array, &codes, input_bits);
+            array.program(&relevels);
+            let third = mvm(array, &recodes, input_bits);
+            let counters = [array.write_count(), array.spike_count(), array.mvm_count()];
+            (second, levels_of(array), counters, third)
         };
         prop_assert_eq!(
             rest(&mut fast, CrossbarArray::mvm_codes),
@@ -177,13 +169,6 @@ proptest! {
 
 /// An MVM entry point of [`CrossbarArray`].
 type Mvm = fn(&mut CrossbarArray, &[u64], u32) -> Vec<u64>;
-
-/// Runs `f` under a throwaway scoped recorder, so crossbar work outside
-/// [`counted`] records into no other test's counters.
-fn isolated<T>(f: impl FnOnce() -> T) -> T {
-    let _guard = scoped_recorder(Arc::new(CounterRecorder::new()));
-    f()
-}
 
 /// Sigma of noise class `class`: 0 (off), 1 (small, below 0.05) or 2
 /// (0.06 to 0.3), placed within the class by `scale` in `[0, 1)`.
@@ -215,7 +200,7 @@ fn noisy_fast_path_takes_the_exact_branch() {
         ..CrossbarConfig::default()
     }
     .with_noise(0.0, 0.3, 11);
-    let (mut fast, codes) = isolated(|| random_case(&config, 1, 2, 11));
+    let (mut fast, codes) = random_case(&config, 1, 2, 11);
     let mut reference = fast.clone();
     let levels = levels_of(&fast);
     let exact: Vec<u64> = (0..config.cols)
