@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the crossbar substrate's primitive operations:
 //! spike-train encoding, single-array MVM, grid programming (full vs
-//! delta), and the quantization pipeline. These sit below the paper-level
+//! delta), grid products, and the quantization pipeline. These sit below the paper-level
 //! artifacts in `paper_artifacts.rs` and track the cost of the simulator
 //! itself.
 
@@ -110,6 +110,23 @@ fn bench_grid_matvec(c: &mut Criterion) {
     g.finish();
 }
 
+/// `TiledMatrix::matmul_rows` at the shapes of one training step of the
+/// suite's 12×12 CNN (batch 8, default config): the 3×3 conv's 6×9 grid
+/// over 1152 signed im2col rows, and the 216→4 FC grid over 8 rows.
+fn bench_tiled_matmul_rows(c: &mut Criterion) {
+    let mut g = c.benchmark_group("tiled_matmul_rows");
+    g.sample_size(20);
+    for (name, out_dim, in_dim, batch) in [("conv_1152x9", 6, 9, 1152), ("fc_8x216", 4, 216, 8)] {
+        let w = pattern_matrix(out_dim, in_dim);
+        let xs = Matrix::from_fn(Shape2::new(batch, in_dim), |r, c| {
+            (((r * 7 + c * 11) % 23) as f32 - 11.0) / 11.0
+        });
+        let mut t = TiledMatrix::program(&w, &CrossbarConfig::default());
+        g.bench_function(name, |b| b.iter(|| black_box(t.matmul_rows(&xs))));
+    }
+    g.finish();
+}
+
 criterion_group!(
     micro,
     bench_spike_encode,
@@ -118,5 +135,6 @@ criterion_group!(
     bench_reprogram_full_vs_delta,
     bench_quantizer,
     bench_grid_matvec,
+    bench_tiled_matmul_rows,
 );
 criterion_main!(micro);

@@ -80,12 +80,13 @@ fn run(artifact: &str) -> bool {
             }
         }
         "serve" => {
+            let reports = serve::measure_all();
             section(
                 "Serving: scheduling policies, 4 chips, LeNet+AlexNet mix (E10)",
-                serve::run().render(),
+                serve::table(&reports).render(),
             );
             let path = "BENCH_serve.json";
-            match std::fs::write(path, serve::bench_json()) {
+            match std::fs::write(path, serve::bench_json(&reports)) {
                 Ok(()) => eprintln!("wrote serving benchmark to {path}"),
                 Err(e) => {
                     eprintln!("failed to write {path}: {e}");

@@ -63,8 +63,8 @@ pub fn measure_all() -> Vec<ServeReport> {
     reports
 }
 
-/// Renders the policy-comparison table.
-pub fn run() -> Table {
+/// Renders the policy-comparison table of a [`measure_all`] sweep.
+pub fn table(reports: &[ServeReport]) -> Table {
     let mut t = Table::new([
         "policy",
         "arrival rate",
@@ -76,25 +76,28 @@ pub fn run() -> Table {
         "utilization",
         "energy",
     ]);
-    let mut reports = measure_all().into_iter();
-    for rate in ARRIVAL_RATES_RPS {
-        for _ in Policy::ALL {
-            // lint:allow(panic) measure_all emits exactly rates x policies cells
-            let r = reports.next().expect("sweep covers every cell");
-            t.row([
-                r.policy.clone(),
-                format!("{:.2} Mrps", rate / 1e6),
-                format!("{:.2} Mrps", r.throughput_rps / 1e6),
-                format!("{:.1}", r.mean_batch_size),
-                percentile_cell(r.p50_latency_ns),
-                percentile_cell(r.p95_latency_ns),
-                percentile_cell(r.p99_latency_ns),
-                format!("{:.0}%", r.mean_utilization() * 100.0),
-                crate::table::joules(r.total_energy_uj * 1e-6),
-            ]);
-        }
+    for (rate, r) in cells(reports) {
+        t.row([
+            r.policy.clone(),
+            format!("{:.2} Mrps", rate / 1e6),
+            format!("{:.2} Mrps", r.throughput_rps / 1e6),
+            format!("{:.1}", r.mean_batch_size),
+            percentile_cell(r.p50_latency_ns),
+            percentile_cell(r.p95_latency_ns),
+            percentile_cell(r.p99_latency_ns),
+            format!("{:.0}%", r.mean_utilization() * 100.0),
+            crate::table::joules(r.total_energy_uj * 1e-6),
+        ]);
     }
     t
+}
+
+/// The reports of a [`measure_all`] sweep, each with its arrival rate.
+fn cells(reports: &[ServeReport]) -> impl Iterator<Item = (f64, &ServeReport)> {
+    reports
+        .chunks(Policy::ALL.len())
+        .zip(ARRIVAL_RATES_RPS)
+        .flat_map(|(row, rate)| row.iter().map(move |r| (rate, r)))
 }
 
 /// Formats one latency percentile, or `-` for a zero-completion run (the
@@ -120,29 +123,22 @@ pub struct ServeBenchRecord {
 }
 
 /// The machine-readable artifact behind `BENCH_serve.json`: p99 latency and
-/// throughput for every sweep cell, in [`measure_all`] order.
-pub fn bench_records() -> Vec<ServeBenchRecord> {
-    let mut out = Vec::new();
-    let mut reports = measure_all().into_iter();
-    for rate in ARRIVAL_RATES_RPS {
-        for _ in Policy::ALL {
-            // lint:allow(panic) measure_all emits exactly rates x policies cells
-            let r = reports.next().expect("sweep covers every cell");
-            out.push(ServeBenchRecord {
-                policy: r.policy,
-                arrival_rate_rps: rate,
-                throughput_rps: r.throughput_rps,
-                // lint:allow(panic) every sweep cell admits and completes requests
-                p99_latency_ns: r.p99_latency_ns.expect("sweep cells complete requests"),
-            });
-        }
-    }
-    out
+/// throughput for every cell of a [`measure_all`] sweep, in sweep order.
+pub fn bench_records(reports: &[ServeReport]) -> Vec<ServeBenchRecord> {
+    cells(reports)
+        .map(|(rate, r)| ServeBenchRecord {
+            policy: r.policy.clone(),
+            arrival_rate_rps: rate,
+            throughput_rps: r.throughput_rps,
+            // lint:allow(panic) every sweep cell admits and completes requests
+            p99_latency_ns: r.p99_latency_ns.expect("sweep cells complete requests"),
+        })
+        .collect()
 }
 
 /// Serializes [`bench_records`] as pretty-printed JSON.
-pub fn bench_json() -> String {
-    serde::json::to_string_pretty(&bench_records())
+pub fn bench_json(reports: &[ServeReport]) -> String {
+    serde::json::to_string_pretty(&bench_records(reports))
 }
 
 #[cfg(test)]
@@ -177,15 +173,23 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic() {
-        assert_eq!(bench_json(), bench_json());
+        assert_eq!(bench_json(&measure_all()), bench_json(&measure_all()));
     }
 
     #[test]
-    fn run_covers_the_full_sweep() {
-        assert_eq!(run().len(), ARRIVAL_RATES_RPS.len() * Policy::ALL.len());
-        assert_eq!(
-            bench_records().len(),
-            ARRIVAL_RATES_RPS.len() * Policy::ALL.len()
-        );
+    fn one_sweep_covers_table_and_records() {
+        let reports = measure_all();
+        let cells = ARRIVAL_RATES_RPS.len() * Policy::ALL.len();
+        assert_eq!(table(&reports).len(), cells);
+        let records = bench_records(&reports);
+        assert_eq!(records.len(), cells);
+        // Rate-major: each rate covers every policy in order.
+        for (i, record) in records.iter().enumerate() {
+            assert_eq!(
+                record.arrival_rate_rps,
+                ARRIVAL_RATES_RPS[i / Policy::ALL.len()]
+            );
+            assert_eq!(record.policy, reports[i].policy);
+        }
     }
 }

@@ -80,10 +80,7 @@ impl CrossbarArray {
             mvm_count: 0,
             spike_count: 0,
         };
-        for i in 0..cells {
-            array.write_cell(i, 0);
-        }
-        telemetry::record(Event::CellWrite, cells as u64);
+        array.write_all((0..cells).map(|_| 0));
         array
     }
 
@@ -113,6 +110,33 @@ impl CrossbarArray {
         self.conductances[i] = cell.conductance();
     }
 
+    /// Issues one programming pulse to every cell, in row-major order, and
+    /// records them as one `CellWrite` event.
+    ///
+    /// Without write variation a pulse draws nothing from the device RNG
+    /// and realizes its level exactly, so the planes are written in bulk:
+    /// the same levels, conductances, range check and write count as one
+    /// [`write_cell`](Self::write_cell) per cell.
+    fn write_all(&mut self, levels: impl Iterator<Item = u32>) {
+        let cells = self.levels.len();
+        if self.device.has_write_variation() {
+            for (i, level) in levels.enumerate() {
+                self.write_cell(i, level);
+            }
+        } else {
+            let range = self.device.levels();
+            let planes = self.levels.iter_mut().zip(&mut self.conductances);
+            for (((stored, g), stuck), level) in planes.zip(&self.stuck).zip(levels) {
+                let level = stuck.unwrap_or(level);
+                assert!(level < range, "level {level} exceeds device range {range}");
+                *stored = level as u8;
+                *g = f64::from(level);
+            }
+            self.device.count_exact_writes(cells as u64);
+        }
+        telemetry::record(Event::CellWrite, cells as u64);
+    }
+
     /// Programs the whole array from row-major levels.
     ///
     /// # Panics
@@ -128,10 +152,7 @@ impl CrossbarArray {
             self.rows,
             self.cols
         );
-        for (i, &level) in levels.iter().enumerate() {
-            self.write_cell(i, level);
-        }
-        telemetry::record(Event::CellWrite, levels.len() as u64);
+        self.write_all(levels.iter().copied());
     }
 
     /// Programs only the cells whose stored level differs from `levels`, a
@@ -182,6 +203,24 @@ impl CrossbarArray {
             "cell ({row},{col}) out of range"
         );
         u32::from(self.levels[row * self.cols + col])
+    }
+
+    /// The programmed levels of wordline `row`, one per bitline.
+    pub(crate) fn level_row(&self, row: usize) -> &[u8] {
+        &self.levels[row * self.cols..(row + 1) * self.cols]
+    }
+
+    /// Whether the device adds neither write variation nor read noise.
+    pub(crate) fn is_ideal(&self) -> bool {
+        self.device.is_ideal()
+    }
+
+    /// Counts one MVM that drove `spikes` wordline spikes, for a caller
+    /// that computed the product without this array (and records the
+    /// MVM's telemetry itself).
+    pub(crate) fn count_mvm(&mut self, spikes: u64) {
+        self.mvm_count += 1;
+        self.spike_count += spikes;
     }
 
     /// One analog frame: bitline currents with the given wordlines active.
@@ -580,6 +619,73 @@ mod tests {
                 assert_eq!(a.level_at(r, c), b.level_at(r, c));
             }
         }
+    }
+
+    /// Pulses every cell of a fresh copy of `array`'s device one by one,
+    /// as `new` and `program` did before they wrote the planes in bulk.
+    fn per_cell(array: &CrossbarArray, cfg: &CrossbarConfig, levels: &[u32]) -> CrossbarArray {
+        let mut reference = array.clone();
+        reference.device = ReramDeviceModel::new(
+            cfg.cell_bits,
+            cfg.write_sigma,
+            cfg.read_sigma,
+            cfg.noise_seed,
+        );
+        for i in 0..levels.len() {
+            reference.write_cell(i, 0);
+        }
+        for (i, &level) in levels.iter().enumerate() {
+            reference.write_cell(i, level);
+        }
+        reference
+    }
+
+    #[test]
+    fn bulk_writes_equal_per_cell_writes() {
+        let base = CrossbarConfig {
+            rows: 16,
+            cols: 24,
+            ..CrossbarConfig::default()
+        };
+        for cfg in [
+            base.clone().with_faults(0.1, 0.1, 41),
+            base.clone()
+                .with_noise(0.0, 0.05, 43)
+                .with_faults(0.2, 0.05, 43),
+            base.clone()
+                .with_noise(0.03, 0.02, 47)
+                .with_faults(0.05, 0.1, 47),
+        ] {
+            let levels: Vec<u32> = (0..16 * 24).map(|i| (i * 7 % 16) as u32).collect();
+            let mut bulk = CrossbarArray::new(&cfg);
+            bulk.program(&levels);
+            let mut reference = per_cell(&CrossbarArray::new(&cfg), &cfg, &levels);
+            assert!(bulk.fault_count() > 0);
+            assert_eq!(bulk.levels, reference.levels);
+            let bits = |a: &CrossbarArray| {
+                a.conductances
+                    .iter()
+                    .map(|g| g.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&bulk), bits(&reference));
+            assert_eq!(bulk.write_count(), 2 * levels.len() as u64);
+            assert_eq!(bulk.write_count(), reference.write_count());
+            // Later reads draw from the same RNG position.
+            let codes: Vec<u64> = (0..16).map(|r| r * 997 % 65536).collect();
+            assert_eq!(bulk.mvm_codes(&codes, 16), reference.mvm_codes(&codes, 16));
+            assert_eq!(
+                bulk.device.gaussian_uniforms(),
+                reference.device.gaussian_uniforms()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds device range")]
+    fn bulk_program_rejects_out_of_range_level() {
+        let mut a = CrossbarArray::new(&small_config());
+        a.program(&[16u32; 16]);
     }
 
     #[test]

@@ -117,6 +117,19 @@ impl ReramDeviceModel {
         }
     }
 
+    /// Counts `n` writes that [`program_unrecorded`](Self::program_unrecorded)
+    /// would realize exactly: without write variation a write draws nothing
+    /// from the RNG, and its conductance is its level.
+    pub(crate) fn count_exact_writes(&mut self, n: u64) {
+        debug_assert!(!self.has_write_variation());
+        self.writes += n;
+    }
+
+    /// Whether programming draws write variation from the RNG stream.
+    pub(crate) fn has_write_variation(&self) -> bool {
+        self.write_sigma > 0.0
+    }
+
     /// Reads a cell's conductance, adding read noise.
     pub fn read(&mut self, cell: &ReramCell) -> f64 {
         self.reads += 1;

@@ -77,19 +77,23 @@ impl SpikeTrain {
 ///
 /// Panics if any code needs more than `input_bits` bits.
 pub(crate) fn drive(codes: &[u64], input_bits: u32) -> u64 {
-    let limit = if input_bits >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << input_bits) - 1
-    };
     telemetry::record(Event::DacConversion, codes.len() as u64);
-    codes
-        .iter()
-        .map(|&c| {
-            assert!(c <= limit, "code {c} exceeds {input_bits} input bits");
-            u64::from(c.count_ones())
-        })
-        .sum()
+    codes.iter().map(|&c| spikes(c, input_bits)).sum()
+}
+
+/// The spikes one wordline code fires (its popcount), after the driver's
+/// check that the code fits `input_bits`.
+///
+/// # Panics
+///
+/// Panics if `code` needs more than `input_bits` bits.
+#[inline]
+pub(crate) fn spikes(code: u64, input_bits: u32) -> u64 {
+    assert!(
+        input_bits >= 64 || code >> input_bits == 0,
+        "code {code} exceeds {input_bits} input bits"
+    );
+    u64::from(code.count_ones())
 }
 
 /// Integrate-and-fire converter: turns an integrated bitline current into a

@@ -11,9 +11,14 @@
 //! row tiles are added to produce each output. Signed weights use a
 //! differential pair of arrays (positive and negative magnitudes) whose
 //! outputs are merged by a subtractor, as in the paper's Fig. 10 Ⓑ.
+//!
+//! On an ideal device that whole merge is an integer identity, so the grid
+//! also keeps the merged signed weights, read back from the cells, and
+//! multiplies with them directly (see [`TiledMatrix::matvec`]).
 
 use crate::array::CrossbarArray;
 use crate::quant::{differential_split, Quantizer};
+use crate::spike;
 use crate::CrossbarConfig;
 use reram_telemetry::{self as telemetry, Event};
 use reram_tensor::Matrix;
@@ -32,8 +37,16 @@ pub struct TiledMatrix {
     /// magnitudes of positive / negative weights of that tile.
     pos: Vec<CrossbarArray>,
     neg: Vec<CrossbarArray>,
+    /// On an ideal device, the signed weight plane `E` (`in_dim × out_dim`,
+    /// row-major) read back from the arrays' levels (see
+    /// [`refresh_plane`](Self::refresh_plane)); `None` on a noisy device.
+    plane: Option<Vec<i64>>,
     reprogram_count: u64,
 }
+
+/// An MVM entry point of [`CrossbarArray`]: array, wordline codes, input
+/// bits.
+pub type ArrayMvm = fn(&mut CrossbarArray, &[u64], u32) -> Vec<u64>;
 
 impl TiledMatrix {
     /// Programs matrix `w` (shape `out × in`, computing `y = W x`) onto a
@@ -65,6 +78,7 @@ impl TiledMatrix {
             col_tiles,
             pos: Vec::with_capacity(row_tiles * col_tiles),
             neg: Vec::with_capacity(row_tiles * col_tiles),
+            plane: None,
             reprogram_count: 0,
         };
         for i in 0..row_tiles * col_tiles {
@@ -74,6 +88,9 @@ impl TiledMatrix {
             this.pos.push(CrossbarArray::new(&cfg));
             cfg.noise_seed = config.noise_seed.wrapping_add(2 * i as u64 + 1);
             this.neg.push(CrossbarArray::new(&cfg));
+        }
+        if this.pos[0].is_ideal() {
+            this.plane = Some(vec![0; in_dim * out_dim]);
         }
         this.write_levels(w);
         this
@@ -137,8 +154,12 @@ impl TiledMatrix {
             pos.resize(used_rows * width, 0);
             neg.resize(used_rows * width, 0);
             self.tile_levels(w, idx, width, &mut pos, &mut neg);
-            pulses += self.pos[idx].program_changed(&pos, width);
-            pulses += self.neg[idx].program_changed(&neg, width);
+            let tile_pulses = self.pos[idx].program_changed(&pos, width)
+                + self.neg[idx].program_changed(&neg, width);
+            if tile_pulses > 0 {
+                self.refresh_plane(idx);
+            }
+            pulses += tile_pulses;
         }
         pulses
     }
@@ -153,17 +174,54 @@ impl TiledMatrix {
             self.tile_levels(w, idx, cols, &mut pos, &mut neg);
             self.pos[idx].program(&pos);
             self.neg[idx].program(&neg);
+            self.refresh_plane(idx);
         }
+    }
+
+    /// Reads the used block of tile `idx` back from its arrays' level
+    /// planes into the signed weight plane, if the grid keeps one:
+    /// `E[r][j] = Σ_k 2^(k·cell_bits) · (P[r][j·s + k] − N[r][j·s + k])` for
+    /// `s` slices per weight. Reading the cells, not the weights, carries
+    /// stuck cells into the product exactly as the arrays present them.
+    fn refresh_plane(&mut self, idx: usize) {
+        let (row0, col0) = self.tile_origin(idx);
+        let (used_rows, used_cols) = self.used_block(idx);
+        let (slices, cell_bits) = (self.config.slices_per_weight(), self.config.cell_bits);
+        let (pos, neg) = (&self.pos[idx], &self.neg[idx]);
+        let Some(plane) = self.plane.as_mut() else {
+            return;
+        };
+        for r in 0..used_rows {
+            let start = (row0 + r) * self.out_dim + col0;
+            let weights = plane[start..start + used_cols].iter_mut();
+            let p = pos.level_row(r).chunks_exact(slices);
+            let n = neg.level_row(r).chunks_exact(slices);
+            for ((e, p), n) in weights.zip(p).zip(n) {
+                *e = p
+                    .iter()
+                    .zip(n)
+                    .enumerate()
+                    .map(|(k, (&p, &n))| (i64::from(p) - i64::from(n)) << (k as u32 * cell_bits))
+                    .sum();
+            }
+        }
+    }
+
+    /// First input row and first output of tile `idx`.
+    fn tile_origin(&self, idx: usize) -> (usize, usize) {
+        (
+            idx / self.col_tiles * self.config.rows,
+            idx % self.col_tiles * self.config.logical_cols(),
+        )
     }
 
     /// Wordlines and logical columns of tile `idx` that hold weights (the
     /// last row and column tiles may be partly empty).
     fn used_block(&self, idx: usize) -> (usize, usize) {
-        let (rt, ct) = (idx / self.col_tiles, idx % self.col_tiles);
-        let (rows, logical_cols) = (self.config.rows, self.config.logical_cols());
+        let (row0, col0) = self.tile_origin(idx);
         (
-            rows.min(self.in_dim - rt * rows),
-            logical_cols.min(self.out_dim - ct * logical_cols),
+            self.config.rows.min(self.in_dim - row0),
+            self.config.logical_cols().min(self.out_dim - col0),
         )
     }
 
@@ -179,10 +237,7 @@ impl TiledMatrix {
         let slices = self.config.slices_per_weight();
         let cell_bits = self.config.cell_bits;
         let mask = (1u64 << cell_bits) - 1;
-        let (row0, col0) = (
-            idx / self.col_tiles * self.config.rows,
-            idx % self.col_tiles * self.config.logical_cols(),
-        );
+        let (row0, col0) = self.tile_origin(idx);
         let (used_rows, used_cols) = self.used_block(idx);
         for r in 0..used_rows {
             for j in 0..used_cols {
@@ -235,10 +290,48 @@ impl TiledMatrix {
     /// merged (bit-slice weights within an array, subtraction across the
     /// differential pair, addition across row tiles) before dequantization.
     ///
+    /// On an ideal device that merge is exact integer arithmetic, so the
+    /// product is `y_j = Σ_r E[r][j] · q_r` over the signed weight plane,
+    /// computed in `i128`. Every array still counts the MVMs and spikes
+    /// the polarity passes of
+    /// [`matvec_per_array`](Self::matvec_per_array) would drive, and the
+    /// same telemetry is recorded; a noisy device runs those passes.
+    ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.in_dim()`.
     pub fn matvec(&mut self, x: &[f32]) -> Vec<f32> {
+        self.matvec_by(x, |grid, codes| match grid.plane.as_deref() {
+            Some(plane) => {
+                let acc = plane_product(plane, grid.out_dim, codes);
+                grid.count_array_mvms(codes);
+                acc
+            }
+            None => grid.polarity_passes(codes, CrossbarArray::mvm_codes),
+        })
+    }
+
+    /// [`matvec`](Self::matvec) through the arrays on any device: one pass
+    /// per input polarity, `mvm` on both arrays of every tile whose input
+    /// chunk is not all zero, partial sums merged across slices, the
+    /// differential pair and the row tiles. With
+    /// [`CrossbarArray::mvm_codes_bit_serial`] it is the spike-coded
+    /// reference of the whole grid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.in_dim()`.
+    pub fn matvec_per_array(&mut self, x: &[f32], mvm: ArrayMvm) -> Vec<f32> {
+        self.matvec_by(x, |grid, codes| grid.polarity_passes(codes, mvm))
+    }
+
+    /// Quantizes `x`, forms the integer product of its codes with
+    /// `product`, and dequantizes the result.
+    fn matvec_by(
+        &mut self,
+        x: &[f32],
+        product: impl FnOnce(&mut Self, &[i64]) -> Vec<i128>,
+    ) -> Vec<f32> {
         assert_eq!(
             x.len(),
             self.in_dim,
@@ -249,7 +342,12 @@ impl TiledMatrix {
         let abs_max = x.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
         let input_quant = Quantizer::fit(self.config.input_bits, abs_max);
         let codes: Vec<i64> = x.iter().map(|&v| input_quant.quantize(v)).collect();
+        let acc = product(self, &codes);
+        let scale = self.weight_quant.scale() * input_quant.scale();
+        acc.iter().map(|&v| v as f32 * scale).collect()
+    }
 
+    fn polarity_passes(&mut self, codes: &[i64], mvm: ArrayMvm) -> Vec<i128> {
         let mut acc = vec![0i128; self.out_dim];
         // Two polarity passes: positive input magnitudes add, negative subtract.
         for (sign, polarity_codes) in [
@@ -268,14 +366,12 @@ impl TiledMatrix {
             if polarity_codes.iter().all(|&c| c == 0) {
                 continue;
             }
-            self.accumulate_polarity(&polarity_codes, sign, &mut acc);
+            self.accumulate_polarity(&polarity_codes, sign, mvm, &mut acc);
         }
-
-        let scale = self.weight_quant.scale() * input_quant.scale();
-        acc.iter().map(|&v| v as f32 * scale).collect()
+        acc
     }
 
-    fn accumulate_polarity(&mut self, codes: &[u64], sign: i128, acc: &mut [i128]) {
+    fn accumulate_polarity(&mut self, codes: &[u64], sign: i128, mvm: ArrayMvm, acc: &mut [i128]) {
         let rows = self.config.rows;
         let slices = self.config.slices_per_weight();
         let cell_bits = self.config.cell_bits;
@@ -296,8 +392,8 @@ impl TiledMatrix {
             }
             for ct in 0..self.col_tiles {
                 let idx = rt * self.col_tiles + ct;
-                let p = self.pos[idx].mvm_codes(&chunk, input_bits);
-                let n = self.neg[idx].mvm_codes(&chunk, input_bits);
+                let p = mvm(&mut self.pos[idx], &chunk, input_bits);
+                let n = mvm(&mut self.neg[idx], &chunk, input_bits);
                 for j in 0..logical_cols {
                     let out_idx = ct * logical_cols + j;
                     if out_idx >= self.out_dim {
@@ -316,6 +412,42 @@ impl TiledMatrix {
         }
     }
 
+    /// Counts on the arrays, and records in telemetry, the array MVMs the
+    /// polarity passes would run for `codes`: per input polarity and per
+    /// row tile whose chunk of that polarity is not all zero, one MVM on
+    /// both arrays of every column tile, each driving the chunk's spikes.
+    /// Every code passes the spike driver's width check.
+    fn count_array_mvms(&mut self, codes: &[i64]) {
+        let input_bits = self.config.input_bits;
+        let col_tiles = self.col_tiles;
+        let mut mvms = 0u64;
+        for (rt, chunk) in codes.chunks(self.config.rows).enumerate() {
+            // Spikes of the positive and of the negative input magnitudes.
+            let mut polarity_spikes = [0u64; 2];
+            for &q in chunk {
+                polarity_spikes[usize::from(q < 0)] += spike::spikes(q.unsigned_abs(), input_bits);
+            }
+            let tiles = rt * col_tiles..(rt + 1) * col_tiles;
+            for spikes in polarity_spikes.into_iter().filter(|&s| s > 0) {
+                let (pos, neg) = (&mut self.pos[tiles.clone()], &mut self.neg[tiles.clone()]);
+                for array in pos.iter_mut().chain(neg) {
+                    array.count_mvm(spikes);
+                }
+                mvms += 2 * col_tiles as u64;
+            }
+        }
+        if mvms > 0 {
+            let (rows, cols) = (self.config.rows as u64, self.config.cols as u64);
+            let frames = u64::from(input_bits);
+            telemetry::with_recorder(|t| {
+                t.record(Event::DacConversion, mvms * rows);
+                t.record(Event::CrossbarMvm, mvms);
+                t.record(Event::SpikeFrame, mvms * frames);
+                t.record(Event::AdcConversion, mvms * frames * cols);
+            });
+        }
+    }
+
     /// Batched product: one [`matvec`](Self::matvec) per row of `xs`.
     ///
     /// `xs` is `(batch × in)`; the result is `(batch × out)`.
@@ -331,23 +463,36 @@ impl TiledMatrix {
         Matrix::from_vec(reram_tensor::Shape2::new(xs.rows(), self.out_dim), out)
     }
 
+    /// Every array of the grid: the positive arrays in tile order, then the
+    /// negative ones.
+    pub fn arrays(&self) -> impl Iterator<Item = &CrossbarArray> {
+        self.pos.iter().chain(&self.neg)
+    }
+
     /// Total wordline spikes driven across all arrays (energy proxy).
     pub fn total_spikes(&self) -> u64 {
-        self.pos
-            .iter()
-            .chain(&self.neg)
-            .map(CrossbarArray::spike_count)
-            .sum()
+        self.arrays().map(CrossbarArray::spike_count).sum()
     }
 
     /// Total cell programming operations across all arrays.
     pub fn total_writes(&self) -> u64 {
-        self.pos
-            .iter()
-            .chain(&self.neg)
-            .map(CrossbarArray::write_count)
-            .sum()
+        self.arrays().map(CrossbarArray::write_count).sum()
     }
+}
+
+/// `y_j = Σ_r E[r][j] · q_r` over a signed weight plane `E` with `out_dim`
+/// entries per input row, with products and sums in `i128`.
+fn plane_product(plane: &[i64], out_dim: usize, codes: &[i64]) -> Vec<i128> {
+    let mut acc = vec![0i128; out_dim];
+    for (row, &q) in plane.chunks_exact(out_dim).zip(codes) {
+        if q == 0 {
+            continue;
+        }
+        for (a, &e) in acc.iter_mut().zip(row) {
+            *a += i128::from(e) * i128::from(q);
+        }
+    }
+    acc
 }
 
 #[cfg(test)]

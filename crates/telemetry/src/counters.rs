@@ -94,20 +94,20 @@ impl Recorder for CounterRecorder {
         self.counts[event.index()].fetch_add(count, Ordering::Relaxed);
     }
 
-    fn span(&self, name: &str, wall_ns: u64, sim_cycles: u64) {
+    /// Aggregates the span's simulated cycles; its host `wall_ns` is not
+    /// kept, so the reports built from this recorder are deterministic.
+    fn span(&self, name: &str, _wall_ns: u64, sim_cycles: u64) {
         let mut spans = self
             .spans
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         if let Some(existing) = spans.iter_mut().find(|s| s.name == name) {
             existing.calls += 1;
-            existing.wall_ns += wall_ns;
             existing.sim_cycles += sim_cycles;
         } else {
             spans.push(SpanReport {
                 name: name.to_owned(),
                 calls: 1,
-                wall_ns,
                 sim_cycles,
             });
         }
@@ -154,7 +154,6 @@ mod tests {
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].name, "forward");
         assert_eq!(spans[0].calls, 2);
-        assert_eq!(spans[0].wall_ns, 400);
         assert_eq!(spans[0].sim_cycles, 10);
         assert_eq!(spans[1].name, "backward");
     }

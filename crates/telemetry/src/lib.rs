@@ -3,8 +3,9 @@
 //! Simulation code in the crossbar/core/nn crates emits *events* (how many
 //! crossbar MVMs ran, how many ADC conversions they needed, how many cells
 //! were reprogrammed), *spans* (scoped stage timers attributing wall-clock
-//! and simulated cycles to pipeline stages), and *metrics* (scalar samples
-//! such as per-step training loss). All three flow to the [`Recorder`]
+//! and simulated cycles to pipeline stages; [`CounterRecorder`] keeps only
+//! the cycles, so its reports are deterministic), and *metrics* (scalar
+//! samples such as per-step training loss). All three flow to the [`Recorder`]
 //! installed on the calling thread, which defaults to "off":
 //!
 //! - When no recorder is installed, every instrumentation call is a single

@@ -11,8 +11,9 @@ use serde::{Deserialize, Serialize};
 /// Schema version stamped into every [`RunReport`]; bump on breaking shape
 /// changes so downstream tooling can detect mismatches. Version 2 added the
 /// serving-layer counters (`requests_enqueued`, `batches_formed`,
-/// `requests_completed`).
-pub const REPORT_SCHEMA_VERSION: u32 = 2;
+/// `requests_completed`); version 3 dropped the host wall-clock `wall_ns`
+/// from `stages`, so a report is a pure function of the simulated run.
+pub const REPORT_SCHEMA_VERSION: u32 = 3;
 
 /// Snapshot of every event counter (field names match [`crate::Event::name`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -53,15 +54,15 @@ impl EventCounts {
     }
 }
 
-/// Aggregated timing for one named stage (all entries of that stage).
+/// Aggregated simulated timing for one named stage (all entries of that
+/// stage). Host wall-clock time stays out: it differs between two runs of
+/// one build, and a report must not.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpanReport {
     /// Stage name ("forward", "backward", "weight_update", ...).
     pub name: String,
     /// How many spans completed under this name.
     pub calls: u64,
-    /// Total host wall-clock time spent, nanoseconds.
-    pub wall_ns: u64,
     /// Total simulated hardware cycles attributed to the stage.
     pub sim_cycles: u64,
 }
@@ -160,7 +161,6 @@ mod tests {
             stages: vec![SpanReport {
                 name: "forward".into(),
                 calls: 3,
-                wall_ns: 42_000,
                 sim_cycles: 384,
             }],
             totals: EventCounts {
@@ -196,6 +196,25 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");
         }
+    }
+
+    #[test]
+    fn report_json_is_independent_of_wall_time() {
+        use crate::Recorder;
+        let json = |wall_ns: [u64; 3]| {
+            let rec = crate::CounterRecorder::new();
+            rec.span("forward", wall_ns[0], 8);
+            rec.span("backward", wall_ns[1], 4);
+            rec.span("forward", wall_ns[2], 2);
+            RunReport {
+                stages: rec.span_reports(),
+                ..sample_report()
+            }
+            .to_json()
+        };
+        let fast = json([100, 50, 300]);
+        assert_eq!(fast, json([9_000_000, 1, 123_456_789]));
+        assert!(!fast.contains("wall"), "wall time in report:\n{fast}");
     }
 
     #[test]

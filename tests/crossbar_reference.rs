@@ -7,6 +7,11 @@
 //! reference (§III-A.3). Both fast paths must agree with it bit for bit —
 //! outputs, device RNG stream, spike counts and every telemetry count the
 //! analytical cost models are checked against.
+//!
+//! One level up, an ideal-device `TiledMatrix::matvec` multiplies with the
+//! signed weight plane read back from its cells instead of running the
+//! arrays; `TiledMatrix::matvec_per_array` driven by the bit-serial array
+//! MVM is its reference.
 
 use std::sync::Arc;
 
@@ -14,12 +19,13 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use reram_suite::crossbar::array::CrossbarArray;
-use reram_suite::crossbar::CrossbarConfig;
+use reram_suite::crossbar::tile::ArrayMvm;
+use reram_suite::crossbar::{CrossbarConfig, TiledMatrix};
 use reram_suite::datasets::Dataset;
 use reram_suite::nn::backend::LinearEngine;
 use reram_suite::nn::layers::{ActivationLayer, Conv2d, Flatten, Linear, Pool2d};
 use reram_suite::nn::Network;
-use reram_suite::tensor::{init, Shape4};
+use reram_suite::tensor::{init, Matrix, Shape2, Shape4};
 use reram_telemetry::{scoped_recorder, CounterRecorder, Event};
 
 /// The events one MVM records, in the order reported by [`counted`].
@@ -153,7 +159,7 @@ proptest! {
         prop_assert_eq!(n_fast, n_ref);
         let (other, recodes) = random_case(&config, input_bits, 2, seed ^ 1);
         let relevels = levels_of(&other);
-        let rest = |array: &mut CrossbarArray, mvm: Mvm| {
+        let rest = |array: &mut CrossbarArray, mvm: ArrayMvm| {
             let second = mvm(array, &codes, input_bits);
             array.program(&relevels);
             let third = mvm(array, &recodes, input_bits);
@@ -167,8 +173,167 @@ proptest! {
     }
 }
 
-/// An MVM entry point of [`CrossbarArray`].
-type Mvm = fn(&mut CrossbarArray, &[u64], u32) -> Vec<u64>;
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The ideal-device grid's fused plane product equals the per-array
+    /// polarity passes over the bit-serial reference, through program →
+    /// matvec → true delta → matvec → fallback delta → matvec: output bits,
+    /// spikes, writes, every array's levels and counters, and every event
+    /// count. Cases span multi-tile grids, weight widths that are not a
+    /// multiple of the cell width, up to 32-bit weights and inputs, stuck-on
+    /// and stuck-off cells, and signed, all-negative and all-zero inputs.
+    #[test]
+    fn fused_tile_matvec_equals_per_array_reference(
+        out_dim in 1usize..=24,
+        in_dim in 1usize..=24,
+        rows_class in 0usize..3,
+        extra_cols in 0usize..=12,
+        precision in 0usize..PRECISIONS.len(),
+        stuck_off_pct in 0u32..=10,
+        stuck_on_pct in 0u32..=10,
+        input_mode in 0u32..3,
+        seed in 0u64..u64::MAX,
+    ) {
+        let (cell_bits, weight_bits, input_bits) = PRECISIONS[precision];
+        let slices = weight_bits.div_ceil(cell_bits) as usize;
+        let config = CrossbarConfig {
+            rows: [3, 8, 16][rows_class],
+            cols: slices + extra_cols,
+            cell_bits,
+            weight_bits,
+            input_bits,
+            ..CrossbarConfig::default()
+        }
+        .with_faults(
+            f64::from(stuck_off_pct) / 100.0,
+            f64::from(stuck_on_pct) / 100.0,
+            seed,
+        );
+        let case = TileCase::new(out_dim, in_dim, input_mode, seed);
+        prop_assert_eq!(
+            case.run(&config, TiledMatrix::matvec),
+            case.run(&config, |grid, x| {
+                grid.matvec_per_array(x, CrossbarArray::mvm_codes_bit_serial)
+            })
+        );
+    }
+}
+
+/// `(cell_bits, weight_bits, input_bits)` of the grid cases: the default,
+/// weight widths that are and are not a multiple of the cell width, one
+/// bit per cell, and the 32-bit extremes.
+const PRECISIONS: [(u32, u32, u32); 7] = [
+    (4, 16, 16),
+    (4, 8, 8),
+    (3, 8, 6),
+    (2, 7, 12),
+    (1, 5, 4),
+    (8, 32, 32),
+    (3, 32, 32),
+];
+
+/// Weights, their two updates and one input per `matvec` of a grid case.
+struct TileCase {
+    weights: Matrix,
+    /// Moves about half the weights, none past the programmed full scale,
+    /// so `reprogram_delta` takes the true delta.
+    delta: Matrix,
+    /// Grows one weight past the full scale: the fallback reprogram.
+    fallback: Matrix,
+    inputs: [Vec<f32>; 3],
+}
+
+/// What a grid case observes after each step: output bits, spike and
+/// write totals, the pulse count of each update, every array's levels and
+/// MVM and spike counters, and every telemetry event count.
+#[derive(Debug, PartialEq)]
+struct TileTrace {
+    outputs: Vec<Vec<u32>>,
+    totals: Vec<(u64, u64)>,
+    pulses: Vec<u64>,
+    arrays: Vec<(Vec<u32>, u64, u64)>,
+    events: Vec<u64>,
+}
+
+impl TileCase {
+    fn new(out_dim: usize, in_dim: usize, input_mode: u32, seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let weights = Matrix::from_fn(Shape2::new(out_dim, in_dim), |_, _| {
+            if rng.gen_bool(0.2) {
+                0.0
+            } else {
+                rng.gen_range(-1.0f32..1.0)
+            }
+        });
+        let peak = weights.abs_max();
+        let delta = Matrix::from_fn(weights.shape(), |r, c| {
+            let w = weights.at(r, c);
+            if w.abs() == peak {
+                0.9 * w
+            } else if rng.gen_bool(0.5) {
+                w * rng.gen_range(-0.9f32..0.9)
+            } else {
+                w
+            }
+        });
+        let mut fallback = delta.clone();
+        let (r, c) = (rng.gen_range(0..out_dim), rng.gen_range(0..in_dim));
+        fallback.set(r, c, -3.0 * peak - 1.0);
+        let mut input = || -> Vec<f32> {
+            (0..in_dim)
+                .map(|_| match input_mode {
+                    0 if rng.gen_bool(1.0 / 3.0) => 0.0,
+                    0 => rng.gen_range(-1.0f32..1.0),
+                    1 => -rng.gen_range(0.01f32..1.0),
+                    _ => 0.0,
+                })
+                .collect()
+        };
+        let inputs = [input(), input(), input()];
+        Self {
+            weights,
+            delta,
+            fallback,
+            inputs,
+        }
+    }
+
+    fn run(
+        &self,
+        config: &CrossbarConfig,
+        matvec: impl Fn(&mut TiledMatrix, &[f32]) -> Vec<f32>,
+    ) -> TileTrace {
+        let counters = Arc::new(CounterRecorder::new());
+        let _guard = scoped_recorder(counters.clone());
+        let mut grid = TiledMatrix::program(&self.weights, config);
+        let mut trace = TileTrace {
+            outputs: Vec::new(),
+            totals: Vec::new(),
+            pulses: Vec::new(),
+            arrays: Vec::new(),
+            events: Vec::new(),
+        };
+        for (step, x) in self.inputs.iter().enumerate() {
+            match step {
+                1 => trace.pulses.push(grid.reprogram_delta(&self.delta)),
+                2 => trace.pulses.push(grid.reprogram_delta(&self.fallback)),
+                _ => {}
+            }
+            let y = matvec(&mut grid, x);
+            trace.outputs.push(y.iter().map(|v| v.to_bits()).collect());
+            trace
+                .totals
+                .push((grid.total_spikes(), grid.total_writes()));
+        }
+        trace.arrays = grid
+            .arrays()
+            .map(|a| (levels_of(a), a.mvm_count(), a.spike_count()))
+            .collect();
+        trace.events = Event::ALL.iter().map(|&e| counters.count(e)).collect();
+        trace
+    }
+}
 
 /// Sigma of noise class `class`: 0 (off), 1 (small, below 0.05) or 2
 /// (0.06 to 0.3), placed within the class by `scale` in `[0, 1)`.
